@@ -20,12 +20,15 @@ for coordinates of 1e4 mm; storing points over e+/e- instead would cancel
 ~1e16-scale products and lose eight digits.
 
 The mixed-grade inner product is the left contraction; on grade-1 inputs it
-reduces to the metric dot product, which is the only behaviour the rest of
-the package relies on.
+reduces to the metric dot product, which distance.py evaluates in closed
+form on coordinates; Multivector serves the conformal objects, the demos and
+the CLI self test, and tables_for() builds its product tables on first use.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -98,13 +101,13 @@ def _blade_lift(vector_map) -> np.ndarray:
     return lift
 
 
-def _build_tables(signature=SIGNATURE):
-    """Precompute sparse product tables over the null-frame blades.
+@lru_cache(maxsize=4)
+def tables_for(signature: tuple[float, ...] = SIGNATURE) -> MappingProxyType:
+    """Sparse product tables over the null-frame blades, cached per signature.
 
-    Returns a dict with keys "geometric", "outer", "inner"; each value is a
-    (left_idx, right_idx, out_idx, weight) quadruple of aligned arrays,
-    ordered by (left_idx, right_idx).  All construction arithmetic is on
-    dyadic rationals, so the tables are exact.
+    Maps "geometric", "outer", "inner" each to aligned (left_idx, right_idx,
+    out_idx, weight) arrays ordered by (left_idx, right_idx), read-only as all
+    callers share them.  Built on dyadic rationals, the tables are exact.
     """
     diag = _diag_tables(signature)
     to_diag = _blade_lift(_NULL_TO_DIAG)    # null blade -> diag coefficients
@@ -134,16 +137,16 @@ def _build_tables(signature=SIGNATURE):
             np.asarray(kk, dtype=np.intp),
             np.asarray(ww, dtype=np.float64),
         )
-    return tables
+        for arr in tables[kind]:
+            arr.flags.writeable = False
+    return MappingProxyType(tables)
 
-
-_TABLES = _build_tables()
 
 GRADE = np.array([mask.bit_count() for mask in range(BLADE_COUNT)])
 
 
-def _product(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
-    left, right, out, weight = table
+def _product(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+    left, right, out, weight = tables_for()[kind]
     return np.bincount(out, weights=a[left] * b[right] * weight, minlength=BLADE_COUNT)
 
 
@@ -199,19 +202,19 @@ class Multivector:
     # --- products ----------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(_product(self.coeffs, other.coeffs, _TABLES["geometric"]))
+            return Multivector._raw(_product(self.coeffs, other.coeffs, "geometric"))
         if isinstance(other, (int, float)):
             return Multivector._raw(self.coeffs * float(other))
         return NotImplemented
 
     def __xor__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(_product(self.coeffs, other.coeffs, _TABLES["outer"]))
+            return Multivector._raw(_product(self.coeffs, other.coeffs, "outer"))
         return NotImplemented
 
     def __or__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(_product(self.coeffs, other.coeffs, _TABLES["inner"]))
+            return Multivector._raw(_product(self.coeffs, other.coeffs, "inner"))
         return NotImplemented
 
     # --- structure -----------------------------------------------------------

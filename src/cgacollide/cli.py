@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cga import SIGNATURE, _build_tables, _product, null_inf, null_zero
+from .cga import SIGNATURE, null_inf, null_zero, tables_for
 from .collision import (
     CollisionReport,
-    PairCheck,
     RobotModel,
     ball_capsule_collide,
     balls_collide,
@@ -48,16 +47,6 @@ def _load_two_robots(cfg: CliConfig) -> tuple[Scene, RobotModel, RobotModel]:
     return scene, scene.robots[0], scene.robots[1]
 
 
-def _pair_payload(p: PairCheck) -> dict:
-    return {
-        "i": p.i,
-        "j": p.j,
-        "squared_distance": p.squared_distance,
-        "threshold": p.threshold,
-        "colliding": p.colliding,
-    }
-
-
 def run_check(cfg: CliConfig, out=None) -> int:
     """Collision check between the two robots of a scene.
 
@@ -73,21 +62,16 @@ def run_check(cfg: CliConfig, out=None) -> int:
     if cfg.report_all_pairs:
         report = robots_collide(r1, r2, skip_adjacent=cfg.skip_adjacent)
     else:
-        pairs: list[PairCheck] = []
-        verdict = False
-        for p in iter_pair_checks(r1, r2, skip_adjacent=cfg.skip_adjacent):
-            if p.colliding:
-                pairs = [p]
-                verdict = True
-                break
-        report = CollisionReport(verdict, tuple(pairs))
+        pairs = iter_pair_checks(r1, r2, skip_adjacent=cfg.skip_adjacent)
+        hit = next((p for p in pairs if p.colliding), None)
+        report = CollisionReport(hit is not None, () if hit is None else (hit,))
 
     if cfg.output_format == "json":
         payload = {
             "scene": cfg.scene_path,
             "skip_adjacent": cfg.skip_adjacent,
             "verdict": report.verdict,
-            "pairs": [_pair_payload(p) for p in report.pairs],
+            "pairs": [vars(p) for p in report.pairs],  # PairCheck fields are the schema
         }
         print(json.dumps(payload), file=out)
     else:
@@ -152,28 +136,27 @@ def selftest_checks(signature=None) -> list[tuple[str, bool]]:
     A non-default diagonal signature can be injected to prove the suite
     actually detects a corrupted metric.
     """
-    sig = SIGNATURE if signature is None else tuple(signature)
-    tables = _build_tables(sig)
+    tables = tables_for(SIGNATURE if signature is None else tuple(signature))
 
-    def sp_geometric(x, y) -> float:
-        return float(_product(x, y, tables["geometric"])[0])
-
-    def sp_inner(x, y) -> float:
-        return float(_product(x, y, tables["inner"])[0])
+    def scalar_of(kind, x, y) -> float:
+        """Scalar part of a table product: the sum of the entries landing on it."""
+        left, right, out, weight = tables[kind]
+        keep = out == 0
+        return float(np.sum(x[left[keep]] * y[right[keep]] * weight[keep]))
 
     e0 = null_zero().coeffs
     einf = null_inf().coeffs
     checks: list[tuple[str, bool]] = []
-    checks.append(("null-zero-squares-to-zero", sp_geometric(e0, e0) == 0.0))
-    checks.append(("null-inf-squares-to-zero", sp_geometric(einf, einf) == 0.0))
-    checks.append(("null-contraction-is-minus-one", sp_inner(e0, einf) == -1.0))
+    checks.append(("null-zero-squares-to-zero", scalar_of("geometric", e0, e0) == 0.0))
+    checks.append(("null-inf-squares-to-zero", scalar_of("geometric", einf, einf) == 0.0))
+    checks.append(("null-contraction-is-minus-one", scalar_of("inner", e0, einf) == -1.0))
 
     rng = np.random.default_rng(20240917)
     ok = True
     for _ in range(200):
         p = rng.uniform(-1e4, 1e4, 3)
         q = rng.uniform(-1e4, 1e4, 3)
-        got = 2.0 * abs(sp_inner(point(p).coeffs, point(q).coeffs))
+        got = 2.0 * abs(scalar_of("inner", point(p).coeffs, point(q).coeffs))
         want = float((p - q) @ (p - q))
         if abs(got - want) > 1e-9 * max(1.0, want):
             ok = False

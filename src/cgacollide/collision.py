@@ -12,11 +12,12 @@ every pair in lexicographic (i, j) order as audit evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .distance import center_dist_fa, center_dist_fb, center_dist_fc
+from .distance import fa, fb, fc
 from .primitives import Capsule, ClosedBall
 
 Component = Union[ClosedBall, Capsule]
@@ -24,40 +25,47 @@ Component = Union[ClosedBall, Capsule]
 _EQUAL_TOL = 1e-12
 
 
-def balls_collide(b1: ClosedBall, b2: ClosedBall) -> bool:
-    sq = center_dist_fa(b1.center, b2.center)
-    rsum = b1.radius + b2.radius
-    return sq <= rsum * rsum
+def _centers(c: Component) -> tuple:
+    """(start, end or None for a ball, radius) of a component, as floats."""
+    if isinstance(c, ClosedBall):
+        return tuple(c.center.tolist()), None, c.radius
+    return tuple(c.axis.start.tolist()), tuple(c.axis.end.tolist()), c.radius
 
 
-def ball_capsule_collide(ball: ClosedBall, capsule: Capsule) -> bool:
-    sq = center_dist_fb(ball.center, capsule.axis).squared_distance
-    rsum = ball.radius + capsule.radius
-    return sq <= rsum * rsum
-
-
-def capsules_collide(c1: Capsule, c2: Capsule) -> bool:
-    sq = center_dist_fc(c1.axis, c2.axis).squared_distance
-    rsum = c1.radius + c2.radius
-    return sq <= rsum * rsum
+def _pair_checks(comps1, comps2, skip_adjacent: bool = False) -> Iterator[tuple]:
+    """The one dispatch path: (i, j, squared distance, squared threshold,
+    colliding) in lexicographic (i, j) order.  Components become float
+    triples once per call, not per pair; the consumer decides when to stop."""
+    flat2 = list(map(_centers, comps2))
+    for i, (p1, e1, r1) in enumerate(map(_centers, comps1)):
+        for j, (p2, e2, r2) in enumerate(flat2):
+            if skip_adjacent and abs(i - j) <= 1:
+                continue
+            if e1 is None:
+                sq = fa(p1, p2) if e2 is None else fb(p1, p2, e2)[0]
+            else:
+                sq = fb(p2, p1, e1)[0] if e2 is None else fc(p1, e1, p2, e2)[0]
+            rsum = r1 + r2
+            threshold = rsum * rsum
+            yield i, j, sq, threshold, sq <= threshold
 
 
 def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:
-    """Dispatch on component kinds; returns (colliding, squared distance,
-    squared threshold)."""
-    if isinstance(a, ClosedBall):
-        if isinstance(b, ClosedBall):
-            sq = center_dist_fa(a.center, b.center)
-        else:
-            sq = center_dist_fb(a.center, b.axis).squared_distance
-    else:
-        if isinstance(b, ClosedBall):
-            sq = center_dist_fb(b.center, a.axis).squared_distance
-        else:
-            sq = center_dist_fc(a.axis, b.axis).squared_distance
-    rsum = a.radius + b.radius
-    threshold = rsum * rsum
-    return sq <= threshold, sq, threshold
+    """(colliding, squared distance, squared threshold) of one pair."""
+    _, _, sq, threshold, colliding = next(_pair_checks((a,), (b,)))
+    return colliding, sq, threshold
+
+
+def balls_collide(b1: ClosedBall, b2: ClosedBall) -> bool:
+    return components_collide(b1, b2)[0]
+
+
+def ball_capsule_collide(ball: ClosedBall, capsule: Capsule) -> bool:
+    return components_collide(ball, capsule)[0]
+
+
+def capsules_collide(c1: Capsule, c2: Capsule) -> bool:
+    return components_collide(c1, c2)[0]
 
 
 def robot_union_fold(m: int, n: int, component_at: Callable[[int], Component]) -> list[Component]:
@@ -118,12 +126,7 @@ def iter_pair_checks(
     skip_adjacent drops pairs with |i - j| <= 1; meant for checking a robot
     against itself, where joint-connected links always touch.
     """
-    for i, a in enumerate(r1.components):
-        for j, b in enumerate(r2.components):
-            if skip_adjacent and abs(i - j) <= 1:
-                continue
-            colliding, sq, threshold = components_collide(a, b)
-            yield PairCheck(i, j, sq, threshold, colliding)
+    return starmap(PairCheck, _pair_checks(r1.components, r2.components, skip_adjacent))
 
 
 def robots_collide(
@@ -138,7 +141,7 @@ def robots_collide_any(
     r1: RobotModel, r2: RobotModel, *, skip_adjacent: bool = False
 ) -> bool:
     """Boolean-only variant; stops at the first colliding pair."""
-    return any(p.colliding for p in iter_pair_checks(r1, r2, skip_adjacent=skip_adjacent))
+    return any(p[4] for p in _pair_checks(r1.components, r2.components, skip_adjacent))
 
 
 def components_equal(a: Component, b: Component, tol: float = _EQUAL_TOL) -> bool:

@@ -1,14 +1,18 @@
-"""Shortest-distance models between ball centers and capsule axes.
+"""Shortest-distance kernels between ball centers and capsule axes.
 
-All three center_dist functions return SQUARED distances (mm^2): the value
-2 * |scalar_part(point(p) | point(q))| equals |p - q|^2, and every collision
-threshold downstream compares against a squared radius sum.  Use
-math.sqrt(...) or ClosestPair.distance when a plain distance is needed for
-reporting.
+All distances are SQUARED (mm^2): every collision threshold downstream
+compares against a squared radius sum.  Use math.sqrt(...) or
+ClosestPair.distance when a plain distance is needed for reporting.
 
-center_dist_fa   squared distance between two points
-center_dist_fb   squared distance from a point to a segment
-center_dist_fc   squared distance between two segments
+fa(p, q)            squared distance between two points
+fb(p, a, b)         squared distance from a point to the segment a -> b
+fc(a1, b1, a2, b2)  squared distance between two segments
+
+fa is the paper's |p - q|^2 = -2 * point(p)|point(q) in closed form,
+P|Q = (p.q - 0.5*|q|^2) - 0.5*|p|^2, summed in the order of the 32-blade
+contraction, so the two agree bit for bit; fb and fc apply fa to witness
+points.  The kernels trust their float triples: coordinates are validated
+where they enter (primitives, scene parsing, center_dist_fa/fb/fc).
 
 The point-segment case split:
 
@@ -38,15 +42,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cga import inner, scalar_part
-from .objects import as_coords, point
+from .objects import as_coords
 from .primitives import DEGENERACY_EPS2, Segment
 
 # Relative threshold on a*c - b^2 below which segments count as parallel.
 PARALLEL_EPS = 1e-10
+
+Vec = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,10 @@ class ClosestPair:
         return math.sqrt(self.squared_distance)
 
 
-@dataclass(frozen=True)
-class SegmentPairCoefficients:
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+class SegmentPairCoefficients(NamedTuple):
+    u: Vec
+    v: Vec
+    w: Vec
     a: float
     b: float
     c: float
@@ -81,8 +86,7 @@ class SegmentPairCoefficients:
     f: float
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
+class StationaryPoint(NamedTuple):
     """Unconstrained minimizer of the segment-pair quadratic.
 
     exists is False for (near-)parallel segments; s1k/s2k are then 0.
@@ -93,54 +97,93 @@ class StationaryPoint:
     exists: bool
 
 
-def center_dist_fa(p1, p2) -> float:
-    """Squared distance between two points, via the conformal inner product."""
-    p1 = as_coords(p1)
-    p2 = as_coords(p2)
-    # fixed argument order keeps the float result exactly symmetric
-    if tuple(p2) < tuple(p1):
-        p1, p2 = p2, p1
-    return 2.0 * abs(scalar_part(inner(point(p1), point(p2))))
+def _dot(x: Vec, y: Vec) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def center_dist_fb(p, seg: Segment) -> ClosestPair:
-    """Squared distance from a point to a segment, with the closest point."""
-    p = as_coords(p)
-    direction = seg.direction
-    denom = float(direction @ direction)
-    if denom < DEGENERACY_EPS2:
-        s = 0.0
-        q = seg.start
+def _sub(x: Vec, y: Vec) -> Vec:
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
+
+
+def fa(p: Vec, q: Vec) -> float:
+    """Squared distance between two points: 2*abs(point(p) | point(q))."""
+    if q < p:  # fixed argument order keeps the float result exactly symmetric
+        p, q = q, p
+    px, py, pz = p
+    qx, qy, qz = q
+    return 2.0 * abs(
+        (px * qx + py * qy + pz * qz)
+        - 0.5 * (qx * qx + qy * qy + qz * qz)
+        - 0.5 * (px * px + py * py + pz * pz)
+    )
+
+
+def fb(p: Vec, a: Vec, b: Vec) -> tuple[float, float, Vec]:
+    """(squared distance, parameter s, closest point) from p to a -> b."""
+    u = _sub(b, a)
+    denom = _dot(u, u)
+    t = 0.0 if denom < DEGENERACY_EPS2 else _dot(_sub(p, a), u)
+    if t <= 0.0:
+        s, q = 0.0, a
+    elif denom <= t:
+        s, q = 1.0, b
     else:
-        t = float((p - seg.start) @ direction)
-        if t <= 0.0:
-            s = 0.0
-            q = seg.start
-        elif denom <= t:
-            s = 1.0
-            q = seg.end
-        else:
-            s = t / denom
-            q = seg.start + s * direction
-    return ClosestPair(0.0, s, p, q, center_dist_fa(p, q))
+        s = t / denom
+        q = (a[0] + s * u[0], a[1] + s * u[1], a[2] + s * u[2])
+    return fa(p, q), s, q
+
+
+def _coefficients(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple:
+    u, v, w = _sub(b1, a1), _sub(b2, a2), _sub(a1, a2)
+    return u, v, w, _dot(u, u), -_dot(u, v), _dot(v, v), _dot(u, w), -_dot(v, w), _dot(w, w)
+
+
+def _stationary(a: float, b: float, c: float, d: float, e: float) -> tuple:
+    """(s1k, s2k, exists).  The parallel test is relative, so short segments
+    are not taken for parallel; fc calls it with a, c >= DEGENERACY_EPS2,
+    where a*c cannot underflow to zero."""
+    det = a * c - b * b
+    if abs(det) <= PARALLEL_EPS * a * c:
+        return 0.0, 0.0, False
+    return (b * e - c * d) / det, (b * d - a * e) / det, True
+
+
+def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Vec]:
+    """(squared distance, s1, s2, q1, q2) between a1 -> b1 and a2 -> b2."""
+    u, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
+    if a < DEGENERACY_EPS2:
+        sq, s2, q2 = fb(a1, a2, b2)
+        return sq, 0.0, s2, a1, q2
+    if c < DEGENERACY_EPS2:
+        sq, s1, q1 = fb(a2, a1, b1)
+        return sq, s1, 0.0, q1, a2
+
+    s1, s2, exists = _stationary(a, b, c, d, e)
+    if exists and 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0:
+        q1 = (a1[0] + s1 * u[0], a1[1] + s1 * u[1], a1[2] + s1 * u[2])
+        q2 = (a2[0] + s2 * v[0], a2[1] + s2 * v[1], a2[2] + s2 * v[2])
+        return fa(q1, q2), s1, s2, q1, q2
+
+    # Boundary minimum: clamp each edge of the unit square in turn.  Tuples
+    # compare by (squared distance, s1, s2), so ties break toward the smallest
+    # (s1, s2) and parallel overlaps give one answer; equal keys share witnesses.
+    edges = []
+    for s1, p in ((0.0, a1), (1.0, b1)):
+        sq, s2, q = fb(p, a2, b2)
+        edges.append((sq, s1, s2, p, q))
+    for s2, p in ((0.0, a2), (1.0, b2)):
+        sq, s1, q = fb(p, a1, b1)
+        edges.append((sq, s1, s2, q, p))
+    return min(edges)
+
+
+def _ends(seg: Segment) -> tuple[Vec, Vec]:
+    return tuple(seg.start.tolist()), tuple(seg.end.tolist())
 
 
 def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:
     """Quadratic coefficients of the squared distance between segment points."""
-    u = seg1.direction
-    v = seg2.direction
-    w = seg1.start - seg2.start
-    return SegmentPairCoefficients(
-        u=u,
-        v=v,
-        w=w,
-        a=float(u @ u),
-        b=-float(u @ v),
-        c=float(v @ v),
-        d=float(u @ w),
-        e=-float(v @ w),
-        f=float(w @ w),
-    )
+    return SegmentPairCoefficients(*_coefficients(*_ends(seg1), *_ends(seg2)))
 
 
 def segment_pair_quadratic(co: SegmentPairCoefficients, s1: float, s2: float) -> float:
@@ -157,55 +200,22 @@ def segment_pair_quadratic(co: SegmentPairCoefficients, s1: float, s2: float) ->
 
 def stationary_point(co: SegmentPairCoefficients) -> StationaryPoint:
     """Zero of the gradient of Q, when the segments are not parallel."""
-    det = co.a * co.c - co.b * co.b
-    if abs(det) <= PARALLEL_EPS * max(co.a * co.c, 1.0):
-        return StationaryPoint(0.0, 0.0, False)
-    s1k = (co.b * co.e - co.c * co.d) / det
-    s2k = (co.b * co.d - co.a * co.e) / det
-    return StationaryPoint(s1k, s2k, True)
+    return StationaryPoint(*_stationary(co.a, co.b, co.c, co.d, co.e))
+
+
+def center_dist_fa(p1, p2) -> float:
+    """Squared distance between two points, via the conformal inner product."""
+    return fa(tuple(as_coords(p1).tolist()), tuple(as_coords(p2).tolist()))
+
+
+def center_dist_fb(p, seg: Segment) -> ClosestPair:
+    """Squared distance from a point to a segment, with the closest point."""
+    p = tuple(as_coords(p).tolist())
+    sq, s, q = fb(p, *_ends(seg))
+    return ClosestPair(0.0, s, np.array(p), np.array(q), sq)
 
 
 def center_dist_fc(seg1: Segment, seg2: Segment) -> ClosestPair:
-    """Squared distance between two segments, with the closest point pair.
-
-    Ties between boundary candidates break toward the lexicographically
-    smallest (s1, s2), so results are deterministic for parallel overlaps.
-    """
-    deg1 = seg1.is_degenerate()
-    deg2 = seg2.is_degenerate()
-    if deg1 and deg2:
-        return ClosestPair(
-            0.0, 0.0, seg1.start, seg2.start, center_dist_fa(seg1.start, seg2.start)
-        )
-    if deg1:
-        r = center_dist_fb(seg1.start, seg2)
-        return ClosestPair(0.0, r.s2, seg1.start, r.q2, r.squared_distance)
-    if deg2:
-        r = center_dist_fb(seg2.start, seg1)
-        return ClosestPair(r.s2, 0.0, r.q2, seg2.start, r.squared_distance)
-
-    co = segment_pair_coefficients(seg1, seg2)
-    st = stationary_point(co)
-    if st.exists and 0.0 <= st.s1k <= 1.0 and 0.0 <= st.s2k <= 1.0:
-        q1 = seg1.point_at(st.s1k)
-        q2 = seg2.point_at(st.s2k)
-        return ClosestPair(st.s1k, st.s2k, q1, q2, center_dist_fa(q1, q2))
-
-    # Boundary minimum: clamp each edge of the unit square in turn.
-    r = center_dist_fb(seg1.start, seg2)
-    candidates = [ClosestPair(0.0, r.s2, seg1.start, r.q2, r.squared_distance)]
-    r = center_dist_fb(seg1.end, seg2)
-    candidates.append(ClosestPair(1.0, r.s2, seg1.end, r.q2, r.squared_distance))
-    r = center_dist_fb(seg2.start, seg1)
-    candidates.append(ClosestPair(r.s2, 0.0, r.q2, seg2.start, r.squared_distance))
-    r = center_dist_fb(seg2.end, seg1)
-    candidates.append(ClosestPair(r.s2, 1.0, r.q2, seg2.end, r.squared_distance))
-
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.squared_distance < best.squared_distance or (
-            cand.squared_distance == best.squared_distance
-            and (cand.s1, cand.s2) < (best.s1, best.s2)
-        ):
-            best = cand
-    return best
+    """Squared distance between two segments, with the closest point pair."""
+    sq, s1, s2, q1, q2 = fc(*_ends(seg1), *_ends(seg2))
+    return ClosestPair(s1, s2, np.array(q1), np.array(q2), sq)

@@ -6,13 +6,14 @@ Coordinates are millimeters throughout.  A Euclidean point p embeds as
 
     point(p) = p1*e1 + p2*e2 + p3*e3 + 0.5*|p|^2 * e_inf + e_0
 
-with the coefficient of e_0 fixed at exactly 1 (no projective rescaling).
-The squared distance between two embedded points is then recovered from the
-inner product: point(p) | point(q) has scalar part -0.5 * |p - q|^2.
+with the coefficient of e_0 fixed at exactly 1 (no projective rescaling), so
+point(p) | point(q) has scalar part -0.5 * |p - q|^2, which distance.py
+evaluates in closed form.  as_coords checks coordinates once, where they enter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +29,19 @@ _UNIT_NORMAL_TOL = 1e-9
 
 
 def as_coords(p) -> np.ndarray:
-    """Coerce to a finite float (3,) array; raises ValueError otherwise."""
-    arr = np.asarray(p, dtype=np.float64)
+    """A finite float (3,) copy of p, read-only so it stays valid; else ValueError."""
+    arr = np.array(p, dtype=np.float64)
     if arr.shape != (3,):
         raise ValueError(f"expected 3 coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("coordinates must be finite")
+    arr.flags.writeable = False
     return arr
 
 
 def point(p) -> Multivector:
     """Embed a Euclidean point into the conformal algebra."""
-    x, y, z = map(float, as_coords(p))
+    x, y, z = as_coords(p).tolist()
     # Left-to-right scalar arithmetic keeps point(p) | point(p) exactly -0.5*0,
     # because the contraction accumulates x*x, y*y, z*z in the same order.
     half_sq = 0.5 * (x * x + y * y + z * z)

@@ -14,10 +14,9 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from .collision import Component, RobotModel
 from .primitives import Capsule, ClosedBall, Segment
@@ -51,7 +50,7 @@ def _parse_floats(fields: list[str], lineno: int) -> list[float]:
             x = float(tok)
         except ValueError:
             raise SceneError(f"not a number: {tok!r}", lineno) from None
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise SceneError(f"non-finite number: {tok!r}", lineno)
         values.append(x)
     return values

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cgacollide.cga import inner, scalar_part
+from cgacollide.collision import RobotModel, capsules_collide, robots_collide
 from cgacollide.distance import (
     PARALLEL_EPS,
     center_dist_fa,
@@ -20,11 +22,18 @@ from cgacollide.oracle import (
     reference_point_segment_distance2,
     reference_segment_distance2,
 )
-from cgacollide.primitives import Segment
+from cgacollide.objects import point
+from cgacollide.primitives import Capsule, Segment
 
 
 def random_segment(rng, scale=1e3):
     return Segment(rng.uniform(-scale, scale, 3), rng.uniform(-scale, scale, 3))
+
+
+def conformal_sq(p, q):
+    """2*|P.Q| on the 32-blade algebra, arguments in the kernels' lexicographic order."""
+    a, b = sorted((tuple(map(float, p)), tuple(map(float, q))))
+    return 2.0 * abs(scalar_part(inner(point(a), point(b))))
 
 
 class TestPointPoint:
@@ -337,3 +346,72 @@ class TestSegmentSegment:
         assert r.squared_distance == 0.0
         r2 = center_dist_fc(seg1, seg2)
         assert (r.s1, r.s2) == (r2.s1, r2.s2)
+
+
+class TestShortSegments:
+    @pytest.mark.parametrize("length", [1e-3, 0.1, 2.0])
+    def test_crossing_axes_touch(self, length):
+        # axes 1 mm apart crossing at their midpoints; an absolute parallel
+        # test used to treat the 1e-3 mm pair as parallel and clamp it
+        h = length / 2
+        seg1 = Segment((-h, 0, 0), (h, 0, 0))
+        seg2 = Segment((0, -h, 1), (0, h, 1))
+        r = center_dist_fc(seg1, seg2)
+        assert r.squared_distance == 1.0
+        assert (r.s1, r.s2) == (0.5, 0.5)
+        c1, c2 = Capsule(seg1, 0.5), Capsule(seg2, 0.5)
+        assert capsules_collide(c1, c2)
+        assert robots_collide(RobotModel("a", (c1,)), RobotModel("b", (c2,))).verdict
+
+
+class TestConformalIdentityIsExact:
+    """The closed-form kernels return exactly 2*|P.Q| of their witnesses."""
+
+    SCALES = (1e-3, 1.0, 1e3, 1e5)
+
+    def test_point_point(self):
+        rng = np.random.default_rng(81)
+        for scale in self.SCALES:
+            for _ in range(300):
+                p, q = rng.uniform(-scale, scale, (2, 3))
+                assert center_dist_fa(p, q) == conformal_sq(p, q)
+            p = rng.uniform(-scale, scale, 3)
+            assert center_dist_fa(p, p) == conformal_sq(p, p) == 0.0
+
+    def test_point_segment(self):
+        rng = np.random.default_rng(82)
+        for scale in self.SCALES:
+            for _ in range(100):
+                seg = random_segment(rng, scale)
+                sc = rng.uniform(-scale, scale, 3)
+                t = rng.uniform(1.1, 3.0) if rng.random() < 0.5 else rng.uniform(-2.0, -0.1)
+                cases = (
+                    (rng.uniform(-scale, scale, 3), seg),  # random
+                    (rng.uniform(-scale, scale, 3), Segment(sc, sc)),  # degenerate
+                    (seg.point_at(t), seg),  # clamped at an endpoint
+                    (seg.point_at(rng.uniform(0.2, 0.8)) + rng.uniform(-0.1, 0.1, 3) * scale, seg),
+                )
+                for p, s in cases:
+                    r = center_dist_fb(p, s)
+                    assert r.squared_distance == conformal_sq(r.q1, r.q2)
+
+    def test_segment_segment(self):
+        rng = np.random.default_rng(83)
+        for scale in self.SCALES:
+            for _ in range(100):
+                seg1 = random_segment(rng, scale)
+                sc = rng.uniform(-scale, scale, 3)
+                alpha = float(rng.uniform(0.3, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+                shift = float(rng.uniform(-1.0, 1.0))
+                cases = (
+                    (seg1, random_segment(rng, scale)),  # random
+                    (seg1, Segment(sc, sc + alpha * seg1.direction)),  # parallel
+                    (Segment(sc, sc), seg1),  # degenerate first
+                    (seg1, Segment(sc, sc)),  # degenerate second
+                    (Segment(sc, sc), Segment(seg1.start, seg1.start)),  # both degenerate
+                    # collinear overlap: many minimizers, tie-break picks one
+                    (seg1, Segment(seg1.point_at(shift), seg1.point_at(shift + alpha))),
+                )
+                for s1, s2 in cases:
+                    r = center_dist_fc(s1, s2)
+                    assert r.squared_distance == conformal_sq(r.q1, r.q2)

@@ -30,6 +30,16 @@ class TestClosedBall:
         with pytest.raises(ValueError):
             ClosedBall((0, 0, 0), -0.5)
 
+    def test_owns_validated_coordinates(self):
+        # coordinates are checked once, at construction, so the primitive must
+        # not see later writes to the caller's array, nor accept its own
+        center = np.array([0.0, 0.0, 0.0])
+        ball = ClosedBall(center, 1.0)
+        center[0] = np.nan
+        assert ball.center[0] == 0.0
+        with pytest.raises(ValueError):
+            ball.center[0] = np.nan
+
     def test_membership_agrees_with_conformal_sign_test(self):
         rng = np.random.default_rng(3)
         ball = ClosedBall((5, -3, 2), 7.5)
