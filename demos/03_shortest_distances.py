@@ -7,15 +7,11 @@ on the hot path.
 Run:  python3 demos/03_shortest_distances.py
 """
 
-import numpy as np
-
 from cgacollide import (
-    GridSpec,
     Segment,
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
-    oracle_segment_segment,
     segment_pair_coefficients,
     stationary_point,
 )
@@ -55,17 +51,3 @@ print("\nparallel pair: a*c - b^2 =", co.a * co.c - co.b * co.b)
 print("stationary point exists:", stationary_point(co).exists)
 r = center_dist_fc(par1, par2)
 print(f"fc = {r.squared_distance:g} (constant gap 120)")
-
-# ----------------------------------------------------------------------
-# Spot check against the brute-force parameter grid: the sampled minimum
-# can only sit above the true one, within the resolution slack.
-# ----------------------------------------------------------------------
-rng = np.random.default_rng(1)
-grid = GridSpec(400)
-print("\nkernel vs grid oracle on random pairs:")
-for _ in range(5):
-    s1 = Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3))
-    s2 = Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3))
-    exact = center_dist_fc(s1, s2).squared_distance
-    sampled = oracle_segment_segment(s1, s2, grid)
-    print(f"  exact {exact:12.6f}   grid {sampled:12.6f}   gap {sampled - exact:.3e}")

@@ -10,10 +10,12 @@ The package is organized bottom-up:
               point-segment, segment-segment) with full case analysis
 * collision:  pair predicates, robot models, evidence reports
 * scene:      plain-text scene files plus the bundled two-arm scenario
-* oracle:     independent brute-force references used by the tests
 * cli:        `cgacollide check|dist|selftest`
 
 All distances are SQUARED millimeters unless a name says otherwise.
+Input is checked once, where it enters: objects.as_coords (finite
+coordinates) and objects.as_radius (finite radius >= 0) back every
+primitive, and scene parsing checks syntax only.
 """
 
 from .cga import (
@@ -71,15 +73,6 @@ from .objects import (
     point,
     sphere,
     sphere_opns,
-)
-from .oracle import (
-    DEFAULT_GRID_1D,
-    DEFAULT_GRID_2D,
-    GridSpec,
-    euclid_reference_distance2,
-    grid_upper_slack,
-    oracle_point_segment,
-    oracle_segment_segment,
 )
 from .primitives import (
     DEGENERACY_EPS2,

@@ -71,7 +71,7 @@ def run_check(cfg: CliConfig, out=None) -> int:
             "scene": cfg.scene_path,
             "skip_adjacent": cfg.skip_adjacent,
             "verdict": report.verdict,
-            "pairs": [vars(p) for p in report.pairs],  # PairCheck fields are the schema
+            "pairs": [p._asdict() for p in report.pairs],  # PairCheck fields are the schema
         }
         print(json.dumps(payload), file=out)
     else:

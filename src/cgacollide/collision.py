@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -101,8 +101,7 @@ class RobotModel:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """Evidence for one component pair: distances in mm^2."""
 
     i: int

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .objects import as_coords
-from .primitives import DEGENERACY_EPS2, Segment
+from .primitives import DEGENERACY_EPS2, Segment, _dot
 
 # Relative threshold on a*c - b^2 below which segments count as parallel.
 PARALLEL_EPS = 1e-10
@@ -95,10 +95,6 @@ class StationaryPoint(NamedTuple):
     s1k: float
     s2k: float
     exists: bool
-
-
-def _dot(x: Vec, y: Vec) -> float:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _sub(x: Vec, y: Vec) -> Vec:

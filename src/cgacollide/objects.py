@@ -8,7 +8,8 @@ Coordinates are millimeters throughout.  A Euclidean point p embeds as
 
 with the coefficient of e_0 fixed at exactly 1 (no projective rescaling), so
 point(p) | point(q) has scalar part -0.5 * |p - q|^2, which distance.py
-evaluates in closed form.  as_coords checks coordinates once, where they enter.
+evaluates in closed form.  as_coords and as_radius check coordinates and
+radii once, where they enter; every primitive goes through them.
 """
 
 from __future__ import annotations
@@ -34,9 +35,19 @@ def as_coords(p) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"expected 3 coordinates, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError("coordinates must be finite")
+        raise ValueError("non-finite coordinates")
     arr.flags.writeable = False
     return arr
+
+
+def as_radius(r) -> float:
+    """r as a finite float >= 0; else ValueError."""
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"non-finite radius {r}")
+    if r < 0.0:
+        raise ValueError(f"negative radius {r}")
+    return r
 
 
 def point(p) -> Multivector:
@@ -54,9 +65,7 @@ def point(p) -> Multivector:
 
 def sphere(center, radius: float) -> Multivector:
     """IPNS sphere: point(center) - 0.5*r^2 * e_inf."""
-    radius = float(radius)
-    if not radius >= 0.0:
-        raise ValueError(f"sphere radius must be >= 0, got {radius}")
+    radius = as_radius(radius)
     out = np.array(point(center).coeffs)
     out[_EINF] -= 0.5 * radius * radius
     return Multivector._raw(out)

@@ -13,10 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .objects import as_coords
+from .objects import as_coords, as_radius
 
 # Segments shorter than this (squared mm) behave as single points.
 DEGENERACY_EPS2 = 1e-12
+
+
+def _dot(x, y) -> float:
+    """Left-to-right dot product of two triples; every degeneracy and distance
+    test sums in this order, so they agree at DEGENERACY_EPS2."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 @dataclass(frozen=True)
@@ -26,10 +32,7 @@ class ClosedBall:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_coords(self.center))
-        r = float(self.radius)
-        if not r >= 0.0:
-            raise ValueError(f"ball radius must be >= 0, got {r}")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", as_radius(self.radius))
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class Segment:
 
     @property
     def length2(self) -> float:
-        d = self.direction
-        return float(d @ d)
+        d = self.direction.tolist()
+        return _dot(d, d)
 
     def is_degenerate(self) -> bool:
         return self.length2 < DEGENERACY_EPS2
@@ -65,10 +68,7 @@ class Capsule:
     radius: float
 
     def __post_init__(self):
-        r = float(self.radius)
-        if not r >= 0.0:
-            raise ValueError(f"capsule radius must be >= 0, got {r}")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", as_radius(self.radius))
 
 
 def segment_point_at(seg: Segment, t: float) -> np.ndarray:
@@ -90,7 +90,6 @@ def capsule_contains(capsule: Capsule, x) -> bool:
     """True iff x lies within capsule.radius of the axis segment."""
     from .distance import center_dist_fb
 
-    x = as_coords(x)
     sq = center_dist_fb(x, capsule.axis).squared_distance
     return sq <= capsule.radius * capsule.radius
 

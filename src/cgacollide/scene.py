@@ -14,7 +14,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,17 +46,19 @@ def _parse_floats(fields: list[str], lineno: int) -> list[float]:
     values = []
     for tok in fields:
         try:
-            x = float(tok)
+            values.append(float(tok))
         except ValueError:
             raise SceneError(f"not a number: {tok!r}", lineno) from None
-        if not math.isfinite(x):
-            raise SceneError(f"non-finite number: {tok!r}", lineno)
-        values.append(x)
     return values
 
 
+# Numbers on each component record.
+_ARITY = {"capsule": 7, "ball": 4}
+
+
 def parse_scene(text: str) -> Scene:
-    """Parse scene text into a validated Scene."""
+    """Parse scene text into a Scene.  Only syntax is checked here; the
+    primitives' ValueErrors come back as SceneError with the line number."""
     robots: list[RobotModel] = []
     seen_names: set[str] = set()
     current_name: str | None = None
@@ -87,35 +88,24 @@ def parse_scene(text: str) -> Scene:
             current_name = args[0]
             current_line = lineno
             current_components = []
-        elif kind == "capsule":
+        elif kind in _ARITY:
             if current_name is None:
                 raise SceneError("component before any robot line", lineno)
-            if len(args) != 7:
-                raise SceneError(f"capsule takes 7 numbers, got {len(args)}", lineno)
-            sx, sy, sz, ex, ey, ez, r = _parse_floats(args, lineno)
-            if r < 0:
-                raise SceneError(f"negative radius {r}", lineno)
-            current_components.append(Capsule(Segment((sx, sy, sz), (ex, ey, ez)), r))
-        elif kind == "ball":
-            if current_name is None:
-                raise SceneError("component before any robot line", lineno)
-            if len(args) != 4:
-                raise SceneError(f"ball takes 4 numbers, got {len(args)}", lineno)
-            cx, cy, cz, r = _parse_floats(args, lineno)
-            if r < 0:
-                raise SceneError(f"negative radius {r}", lineno)
-            current_components.append(ClosedBall((cx, cy, cz), r))
+            if len(args) != _ARITY[kind]:
+                raise SceneError(f"{kind} takes {_ARITY[kind]} numbers, got {len(args)}", lineno)
+            v = _parse_floats(args, lineno)
+            try:
+                current_components.append(
+                    ClosedBall(v[:3], v[3]) if kind == "ball"
+                    else Capsule(Segment(v[:3], v[3:6]), v[6])
+                )
+            except ValueError as exc:
+                raise SceneError(str(exc), lineno) from None
         else:
             raise SceneError(f"unknown record {kind!r}", lineno)
 
     flush()
-    if not robots:
-        raise SceneError("no robots")
     return Scene(tuple(robots))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def serialize_scene(scene: Scene) -> str:
@@ -125,16 +115,10 @@ def serialize_scene(scene: Scene) -> str:
         lines.append(f"robot {robot.name}")
         for comp in robot.components:
             if isinstance(comp, ClosedBall):
-                cx, cy, cz = comp.center
-                lines.append(f"ball {_fmt(cx)} {_fmt(cy)} {_fmt(cz)} {_fmt(comp.radius)}")
+                kind, v = "ball", comp.center.tolist()
             else:
-                sx, sy, sz = comp.axis.start
-                ex, ey, ez = comp.axis.end
-                lines.append(
-                    "capsule "
-                    f"{_fmt(sx)} {_fmt(sy)} {_fmt(sz)} "
-                    f"{_fmt(ex)} {_fmt(ey)} {_fmt(ez)} {_fmt(comp.radius)}"
-                )
+                kind, v = "capsule", comp.axis.start.tolist() + comp.axis.end.tolist()
+            lines.append(" ".join([kind, *map(repr, v), repr(comp.radius)]))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import Capsule, Segment
+from cgacollide.primitives import Capsule, Segment
 
 _POINT_EPS2 = 1e-12
 

@@ -32,7 +32,7 @@ from cgacollide.distance import (
     stationary_point,
 )
 from cgacollide.objects import point
-from cgacollide.oracle import (
+from oracle import (
     GridSpec,
     euclid_reference_distance2,
     grid_upper_slack,

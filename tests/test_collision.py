@@ -14,7 +14,7 @@ from cgacollide.collision import (
     robots_collide_any,
     robots_equal,
 )
-from cgacollide.oracle import euclid_reference_distance2
+from oracle import euclid_reference_distance2
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import load_table3
 

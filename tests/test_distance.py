@@ -14,7 +14,7 @@ from cgacollide.distance import (
     segment_pair_quadratic,
     stationary_point,
 )
-from cgacollide.oracle import (
+from oracle import (
     GridSpec,
     grid_upper_slack,
     oracle_point_segment,
@@ -82,6 +82,16 @@ class TestPointSegment:
             r = center_dist_fb(p, Segment(sc, sc))
             assert r.squared_distance == center_dist_fa(p, sc)
             assert r.s2 == 0.0
+
+    @pytest.mark.parametrize("d", [
+        (7.300079915971865e-07, -6.006003936724417e-07, -3.261403061946653e-07),
+        (3.069586933315121e-07, -2.6177123577256385e-07, -9.150148527266185e-07),
+    ])
+    def test_degeneracy_agrees_with_kernel_branch(self, d):
+        # |d|^2 sits within one rounding of DEGENERACY_EPS2; Segment.length2 and
+        # the kernel must sum it the same way to take the same side
+        seg = Segment((0, 0, 0), d)
+        assert seg.is_degenerate() == (center_dist_fb((1.0, 0.0, 0.0), seg).s2 == 0.0)
 
     def test_start_clamp(self):
         r = center_dist_fb((0, 0, 0), Segment((0, 0, 65), (0, 0, 130)))

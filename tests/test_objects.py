@@ -67,6 +67,9 @@ class TestSphere:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             sphere((0, 0, 0), -1.0)
+        for r in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite radius"):
+                sphere((0, 0, 0), r)
 
     def test_point_sphere_inner_identity(self):
         rng = np.random.default_rng(11)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgacollide.distance import center_dist_fa, center_dist_fb, center_dist_fc
-from cgacollide.oracle import (
+from oracle import (
     GridSpec,
     euclid_reference_distance2,
     grid_upper_slack,

@@ -29,6 +29,9 @@ class TestClosedBall:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             ClosedBall((0, 0, 0), -0.5)
+        for r in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite radius"):
+                ClosedBall((0, 0, 0), r)
 
     def test_owns_validated_coordinates(self):
         # coordinates are checked once, at construction, so the primitive must
@@ -116,6 +119,9 @@ class TestCapsule:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             Capsule(Segment((0, 0, 0), (1, 0, 0)), -1.0)
+        for r in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite radius"):
+                Capsule(Segment((0, 0, 0), (1, 0, 0)), r)
 
     def test_degenerate_as_ball(self):
         caps = Capsule(Segment((1, 1, 1), (1, 1, 1)), 3.0)

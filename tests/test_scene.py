@@ -60,6 +60,9 @@ class TestParse:
     def test_nonfinite_number_rejected(self):
         with pytest.raises(SceneError, match="non-finite"):
             parse_scene("robot r\nball 0 0 inf 1\n")
+        with pytest.raises(SceneError, match="non-finite") as exc:
+            parse_scene("robot r\nball 0 0 0 inf\n")
+        assert exc.value.line == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(SceneError, match="takes 7 numbers"):
