@@ -11,18 +11,20 @@ orthogonal pair e+, e- with squares +1 and -1 by
 
     e0 = 0.5 * (e- - e+)        einf = e- + e+
 
-and the product tables are built exactly through that diagonal frame
-(signature +,+,+,+,-), then re-expressed over (e1, e2, e3, e0, einf).
+Only the geometric product is tabulated.  Its blade table is written in that
+diagonal frame (signature +,+,+,+,-) and carried to (e1, e2, e3, e0, einf) by
+one change of basis; the outer product and the left contraction are its
+grade parts, A_r ^ B_s = <A_r B_s>_(r+s) and A_r | B_s = <A_r B_s>_(s-r).
 Working directly in the null frame keeps conformal-point coefficients at
 coordinate scale (a point stores 1 on e0 and 0.5*|p|^2 on einf), which is
 what lets the inner-product distance identity hold to ~1e-9 relative even
 for coordinates of 1e4 mm; storing points over e+/e- instead would cancel
 ~1e16-scale products and lose eight digits.
 
-The mixed-grade inner product is the left contraction; on grade-1 inputs it
-reduces to the metric dot product, which distance.py evaluates in closed
-form on coordinates; Multivector serves the conformal objects, the demos and
-the CLI self test, and tables_for() builds its product tables on first use.
+On grade-1 inputs the left contraction reduces to the metric dot product,
+which distance.py evaluates in closed form on coordinates; Multivector
+serves the conformal objects, the demos and the CLI self test, and
+tables_for() builds its product tables on first use.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ import numpy as np
 
 DIMENSION = 5
 BLADE_COUNT = 1 << DIMENSION  # 32
+GRADE = np.array([mask.bit_count() for mask in range(BLADE_COUNT)])
 
 # Diagonal metric of the auxiliary orthogonal frame (e1, e2, e3, e+, e-).
 SIGNATURE = (1.0, 1.0, 1.0, 1.0, -1.0)
 
-# Vector change of basis between the frames, by vector index 0..4.
+# Vector change of basis between the frames, one column per source vector.
 # Null frame order: (e1, e2, e3, e0, einf); diagonal order: (e1, e2, e3, e+, e-).
-_NULL_TO_DIAG = {0: {0: 1.0}, 1: {1: 1.0}, 2: {2: 1.0},
-                 3: {3: -0.5, 4: 0.5}, 4: {3: 1.0, 4: 1.0}}
-_DIAG_TO_NULL = {0: {0: 1.0}, 1: {1: 1.0}, 2: {2: 1.0},
-                 3: {3: -1.0, 4: 0.5}, 4: {3: 1.0, 4: 0.5}}
+# Only the (e0, einf) <-> (e+, e-) block differs from the identity.
+_NULL_TO_DIAG, _DIAG_TO_NULL = np.eye(DIMENSION), np.eye(DIMENSION)
+_NULL_TO_DIAG[3:, 3:] = [[-0.5, 1.0], [0.5, 1.0]]  # e0 = 0.5(e- - e+), einf = e- + e+
+_DIAG_TO_NULL[3:, 3:] = [[-1.0, 1.0], [0.5, 0.5]]  # e+ = 0.5einf - e0, e- = e0 + 0.5einf
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -57,47 +60,33 @@ def _reorder_sign(a: int, b: int) -> int:
     return -1 if total & 1 else 1
 
 
-def _diag_tables(signature):
-    """Blade-level products in the diagonal frame, as (i, j) -> (k, weight)."""
-    gp, op, ip = {}, {}, {}
+def _diag_product(signature) -> np.ndarray:
+    """Geometric product of diagonal-frame blades as a dense (left, right,
+    out) tensor: e_i e_j is the reorder sign times the squares of the shared
+    vectors, on blade i ^ j."""
+    product = np.zeros((BLADE_COUNT,) * 3)
     for i in range(BLADE_COUNT):
         for j in range(BLADE_COUNT):
             weight = float(_reorder_sign(i, j))
-            shared = i & j
             for bit in range(DIMENSION):
-                if shared & (1 << bit):
+                if i & j & (1 << bit):
                     weight *= signature[bit]
-            k = i ^ j
-            gp[(i, j)] = (k, weight)
-            if shared == 0:  # disjoint blades: the grade-raising part
-                op[(i, j)] = (k, weight)
-            if i & ~j == 0:  # left blade inside right one: left contraction
-                ip[(i, j)] = (k, weight)
-    return {"geometric": gp, "outer": op, "inner": ip}
+            product[i, j, i ^ j] = weight
+    return product
 
 
-def _wedge_into(acc: np.ndarray, vector: dict) -> np.ndarray:
-    """Metric-free wedge of a blade-coefficient vector with a frame vector."""
-    out = np.zeros(BLADE_COUNT)
-    for mask in np.nonzero(acc)[0]:
-        for bit, coeff in vector.items():
-            vmask = 1 << bit
-            if mask & vmask:
-                continue
-            out[mask | vmask] += acc[mask] * coeff * _reorder_sign(int(mask), vmask)
-    return out
+def _blade_lift(vectors: np.ndarray, wedge: np.ndarray) -> np.ndarray:
+    """Extend a vector change of basis to all 32 blades (column per blade).
 
-
-def _blade_lift(vector_map) -> np.ndarray:
-    """Extend a vector change of basis to all 32 blades (column per blade)."""
+    wedge is the (left blade, right vector, out blade) outer product, whose
+    weights are metric-free and so the same in either frame; each blade maps
+    to the wedge of its vectors' images, lowest bit first.
+    """
     lift = np.zeros((BLADE_COUNT, BLADE_COUNT))
-    for src in range(BLADE_COUNT):
-        acc = np.zeros(BLADE_COUNT)
-        acc[0] = 1.0
-        for bit in range(DIMENSION):
-            if src & (1 << bit):
-                acc = _wedge_into(acc, vector_map[bit])
-        lift[:, src] = acc
+    lift[0, 0] = 1.0
+    for src in range(1, BLADE_COUNT):
+        top = src.bit_length() - 1
+        lift[:, src] = np.einsum("a,b,abk->k", lift[:, src ^ (1 << top)], vectors[:, top], wedge)
     return lift
 
 
@@ -106,43 +95,30 @@ def tables_for(signature: tuple[float, ...] = SIGNATURE) -> MappingProxyType:
     """Sparse product tables over the null-frame blades, cached per signature.
 
     Maps "geometric", "outer", "inner" each to aligned (left_idx, right_idx,
-    out_idx, weight) arrays ordered by (left_idx, right_idx), read-only as all
-    callers share them.  Built on dyadic rationals, the tables are exact.
+    out_idx, weight) arrays ordered by (left_idx, right_idx, out_idx),
+    read-only as all callers share them.  Built on dyadic rationals, the
+    tables are exact.
     """
-    diag = _diag_tables(signature)
-    to_diag = _blade_lift(_NULL_TO_DIAG)    # null blade -> diag coefficients
-    to_null = _blade_lift(_DIAG_TO_NULL)    # diag blade -> null coefficients
+    diag = _diag_product(signature)
+    disjoint = (np.arange(BLADE_COUNT)[:, None] & np.arange(BLADE_COUNT)) == 0
+    wedge = np.where(disjoint[:, :, None], diag, 0.0)[:, [1 << b for b in range(DIMENSION)]]
+    to_diag = _blade_lift(_NULL_TO_DIAG, wedge)    # null blade -> diag coefficients
+    to_null = _blade_lift(_DIAG_TO_NULL, wedge)    # diag blade -> null coefficients
+    null = np.einsum("ai,bj,abk->ijk", to_diag, to_diag, diag @ to_null.T, optimize=True)
 
+    left, right, out = np.nonzero(null)
+    weight = null[left, right, out]
+    parts = {
+        "geometric": slice(None),
+        "outer": GRADE[out] == GRADE[left] + GRADE[right],
+        "inner": GRADE[out] == GRADE[right] - GRADE[left],
+    }
     tables = {}
-    for kind, blade_product in diag.items():
-        ii, jj, kk, ww = [], [], [], []
-        for i in range(BLADE_COUNT):
-            a = to_diag[:, i]
-            for j in range(BLADE_COUNT):
-                b = to_diag[:, j]
-                diag_out = np.zeros(BLADE_COUNT)
-                for ia in np.nonzero(a)[0]:
-                    for jb in np.nonzero(b)[0]:
-                        hit = blade_product.get((int(ia), int(jb)))
-                        if hit is None:
-                            continue
-                        k, w = hit
-                        diag_out[k] += a[ia] * b[jb] * w
-                null_out = to_null @ diag_out
-                for k in np.nonzero(null_out)[0]:
-                    ii.append(i), jj.append(j), kk.append(int(k)), ww.append(null_out[k])
-        tables[kind] = (
-            np.asarray(ii, dtype=np.intp),
-            np.asarray(jj, dtype=np.intp),
-            np.asarray(kk, dtype=np.intp),
-            np.asarray(ww, dtype=np.float64),
-        )
+    for kind, keep in parts.items():
+        tables[kind] = tuple(arr[keep] for arr in (left, right, out, weight))
         for arr in tables[kind]:
             arr.flags.writeable = False
     return MappingProxyType(tables)
-
-
-GRADE = np.array([mask.bit_count() for mask in range(BLADE_COUNT)])
 
 
 def _product(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
@@ -298,18 +274,12 @@ def null_inf() -> Multivector:
 
 def e_plus() -> Multivector:
     """Auxiliary vector e+ = 0.5*einf - e0; squares to +1."""
-    out = np.zeros(BLADE_COUNT)
-    out[0b01000] = -1.0
-    out[0b10000] = 0.5
-    return Multivector._raw(out)
+    return 0.5 * null_inf() - null_zero()
 
 
 def e_minus() -> Multivector:
     """Auxiliary vector e- = e0 + 0.5*einf; squares to -1."""
-    out = np.zeros(BLADE_COUNT)
-    out[0b01000] = 1.0
-    out[0b10000] = 0.5
-    return Multivector._raw(out)
+    return null_zero() + 0.5 * null_inf()
 
 
 def outer(a: Multivector, b: Multivector) -> Multivector:

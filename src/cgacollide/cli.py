@@ -185,7 +185,7 @@ def selftest_checks(signature=None) -> list[tuple[str, bool]]:
     return checks
 
 
-def run_selftest(cfg: CliConfig | None = None, out=None, signature=None) -> int:
+def run_selftest(out=None, signature=None) -> int:
     """Print each identity check; exit 0 only if every one passes."""
     out = out if out is not None else sys.stdout
     checks = selftest_checks(signature)
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
         return run_check(cfg)
     if cfg.subcommand == "dist":
         return run_dist(cfg)
-    return run_selftest(cfg)
+    return run_selftest()
 
 
 def entrypoint() -> None:

@@ -1,9 +1,9 @@
 """Robot component primitives: closed balls, axis segments, capsules.
 
 All membership predicates use closed-set semantics (boundary points are
-inside).  Numerically they evaluate the Euclidean reduction of the
-conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2); the conformal form itself
-is exercised by the test suite.
+inside).  They evaluate the conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2)
+with the same distance kernels as the pair predicates, so a boundary point
+rounds the same way whether it is tested as a member or as a zero-radius ball.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def segment_point_at(seg: Segment, t: float) -> np.ndarray:
 
 def ball_contains(ball: ClosedBall, x) -> bool:
     """True iff x lies in the closed ball (boundary included)."""
-    x = as_coords(x)
-    diff = x - ball.center
-    return float(diff @ diff) <= ball.radius * ball.radius
+    from .distance import center_dist_fa
+
+    return center_dist_fa(x, ball.center) <= ball.radius * ball.radius
 
 
 def capsule_contains(capsule: Capsule, x) -> bool:

@@ -68,9 +68,10 @@ def parse_scene(text: str) -> Scene:
     def flush():
         if current_name is None:
             return
-        if not current_components:
-            raise SceneError(f"robot {current_name!r} has no components", current_line)
-        robots.append(RobotModel(current_name, tuple(current_components)))
+        try:
+            robots.append(RobotModel(current_name, tuple(current_components)))
+        except ValueError as exc:
+            raise SceneError(str(exc), current_line) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cgacollide.cga import (
     BLADE_COUNT,
     GRADE,
+    SIGNATURE,
     Multivector,
     e_minus,
     e_plus,
@@ -17,6 +20,7 @@ from cgacollide.cga import (
     outer,
     scalar,
     scalar_part,
+    tables_for,
     zero,
 )
 from cgacollide.objects import point
@@ -194,3 +198,26 @@ class TestAlgebraicProperties:
         b = mbasis({3, 4})
         got = outer(a, b)
         assert got == mbasis({1, 2, 3, 4})
+
+
+class TestTablePinning:
+    """The product tables, entry order and dtypes included, are pinned by digest."""
+
+    @pytest.mark.parametrize(
+        "signature, digest",
+        [
+            (SIGNATURE, "93ca9c10c6a79032fa1d1ab471d70458ce2e62ef29854f4acb6f197289e06850"),
+            ((1.0,) * 5, "d2e10ee1393a8f11be57bdec40133db883feda8af8b0d6652951c058e355a298"),
+        ],
+        ids=["conformal", "all-positive"],
+    )
+    def test_tables_are_pinned(self, signature, digest):
+        tables = tables_for(signature)
+        h = hashlib.sha256()
+        for kind in ("geometric", "outer", "inner"):
+            for arr in tables[kind]:
+                h.update(kind.encode())
+                h.update(str(arr.dtype).encode())
+                h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+        assert [len(tables[kind][0]) for kind in ("geometric", "outer", "inner")] == [1024, 243, 243]

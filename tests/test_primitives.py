@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cgacollide.cga import inner, scalar_part
+from cgacollide.collision import balls_collide
 from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
     DEGENERACY_EPS2,
@@ -51,6 +52,21 @@ class TestClosedBall:
             x = rng.uniform(-15, 15, 3)
             conformal = scalar_part(inner(point(x), s)) >= 0.0
             assert ball_contains(ball, x) == conformal
+
+    def test_boundary_membership_agrees_with_pair_predicates(self):
+        # on sampled sphere boundaries rounding decides membership, so the
+        # ball, its degenerate capsule and a zero-radius ball probe must all
+        # round the same way
+        rng = np.random.default_rng(44)
+        for _ in range(2000):
+            c = rng.uniform(-1e3, 1e3, 3)
+            r = float(rng.uniform(0.1, 100.0))
+            d = rng.normal(size=3)
+            x = c + r * d / np.linalg.norm(d)
+            ball = ClosedBall(c, r)
+            inside = ball_contains(ball, x)
+            assert inside == capsule_contains(Capsule(Segment(c, c), r), x)
+            assert inside == balls_collide(ClosedBall(x, 0.0), ball)
 
     def test_diameter_bound(self):
         # any two members are at most a diameter apart

@@ -79,8 +79,9 @@ class TestParse:
             parse_scene(text)
 
     def test_robot_without_components(self):
-        with pytest.raises(SceneError, match="no components"):
+        with pytest.raises(SceneError, match="no components") as exc:
             parse_scene("robot a\nrobot b\nball 0 0 0 1\n")
+        assert exc.value.line == 1
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# heading\n\nrobot r  # trailing\n  ball 0 0 0 1\n\n"
