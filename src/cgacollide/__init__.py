@@ -13,26 +13,14 @@ The package is organized bottom-up:
 * cli:        `cgacollide check|dist|selftest`
 
 All distances are SQUARED millimeters unless a name says otherwise.
-Input is checked once, where it enters: objects.as_coords (finite
-coordinates) and objects.as_radius (finite radius >= 0) back every
-primitive, and scene parsing checks syntax only.
+Input is checked once, where it enters: primitives.as_triple (finite
+coordinates) and primitives.as_radius (finite radius >= 0) back every
+primitive, and scene parsing checks syntax only.  The collision check runs
+on float triples without numpy; the algebra (cga, objects) loads on first use.
 """
 
-from .cga import (
-    BLADE_COUNT,
-    DIMENSION,
-    SIGNATURE,
-    Multivector,
-    geometric,
-    inner,
-    mbasis,
-    null_inf,
-    null_zero,
-    outer,
-    scalar,
-    scalar_part,
-    zero,
-)
+import importlib
+
 from .collision import (
     CollisionReport,
     Component,
@@ -61,19 +49,6 @@ from .distance import (
     segment_pair_quadratic,
     stationary_point,
 )
-from .objects import (
-    ConformalObject,
-    as_coords,
-    circle_ipns,
-    circle_opns,
-    line_ipns,
-    line_opns,
-    plane,
-    plane_opns,
-    point,
-    sphere,
-    sphere_opns,
-)
 from .primitives import (
     DEGENERACY_EPS2,
     Capsule,
@@ -95,3 +70,22 @@ from .scene import (
 )
 
 __version__ = "0.1.0"
+
+# The algebra modules and their exported names -> module; they load numpy.
+_LAZY = {name: module for module, names in (
+    ("cga", "cga BLADE_COUNT DIMENSION SIGNATURE Multivector geometric inner mbasis"
+            " null_inf null_zero outer scalar scalar_part zero"),
+    ("objects", "objects ConformalObject as_coords circle_ipns circle_opns line_ipns"
+                " line_opns plane plane_opns point sphere sphere_opns"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -14,9 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cga import SIGNATURE, null_inf, null_zero, tables_for
 from .collision import (
     CollisionReport,
     RobotModel,
@@ -26,7 +23,6 @@ from .collision import (
     robot_union_fold,
     robots_collide,
 )
-from .objects import point
 from .primitives import Capsule, ClosedBall, Segment, capsule_degenerate_as_ball
 from .scene import Scene, SceneError, load_scene
 
@@ -134,8 +130,13 @@ def selftest_checks(signature=None) -> list[tuple[str, bool]]:
     """Run the embedded identity suite; returns (name, passed) pairs.
 
     A non-default diagonal signature can be injected to prove the suite
-    actually detects a corrupted metric.
+    actually detects a corrupted metric.  Only this command loads numpy.
     """
+    import numpy as np
+
+    from .cga import SIGNATURE, null_inf, null_zero, tables_for
+    from .objects import point
+
     tables = tables_for(SIGNATURE if signature is None else tuple(signature))
 
     def scalar_of(kind, x, y) -> float:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterator, NamedTuple, Union
 
-import numpy as np
-
 from .distance import fa, fb, fc
 from .primitives import Capsule, ClosedBall
 
@@ -28,8 +26,8 @@ _EQUAL_TOL = 1e-12
 def _centers(c: Component) -> tuple:
     """(start, end or None for a ball, radius) of a component, as floats."""
     if isinstance(c, ClosedBall):
-        return tuple(c.center.tolist()), None, c.radius
-    return tuple(c.axis.start.tolist()), tuple(c.axis.end.tolist()), c.radius
+        return c.center_xyz, None, c.radius
+    return c.axis.start_xyz, c.axis.end_xyz, c.radius
 
 
 def _pair_checks(comps1, comps2, skip_adjacent: bool = False) -> Iterator[tuple]:
@@ -69,20 +67,15 @@ def capsules_collide(c1: Capsule, c2: Capsule) -> bool:
 
 
 def robot_union_fold(m: int, n: int, component_at: Callable[[int], Component]) -> list[Component]:
-    """Materialize the indexed union over the range m..n.
+    """Materialize the indexed union over the range m..n, in ascending order.
 
-    Follows the recursive build rules: the range m..0 holds component 0 only
-    when m = 0; extending the upper bound to n appends component n exactly
-    when m <= n.  An inverted range yields an empty list.
+    This is the closed form of the recursive build rules: the range m..0
+    holds component 0 only when m = 0; extending the upper bound to n appends
+    component n exactly when m <= n.  An inverted range yields an empty list.
     """
     if m < 0 or n < 0:
         raise ValueError("component indices are natural numbers")
-    if n == 0:
-        return [component_at(0)] if m == 0 else []
-    rest = robot_union_fold(m, n - 1, component_at)
-    if m <= n:
-        rest.append(component_at(n))
-    return rest
+    return [component_at(k) for k in range(m, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -144,16 +137,11 @@ def robots_collide_any(
 
 
 def components_equal(a: Component, b: Component, tol: float = _EQUAL_TOL) -> bool:
-    if isinstance(a, ClosedBall) != isinstance(b, ClosedBall):
+    """Same kind, and radius and every coordinate within tol."""
+    (p1, e1, r1), (p2, e2, r2) = _centers(a), _centers(b)
+    if (e1 is None) != (e2 is None) or abs(r1 - r2) > tol:
         return False
-    if abs(a.radius - b.radius) > tol:
-        return False
-    if isinstance(a, ClosedBall):
-        return bool(np.all(np.abs(a.center - b.center) <= tol))
-    return bool(
-        np.all(np.abs(a.axis.start - b.axis.start) <= tol)
-        and np.all(np.abs(a.axis.end - b.axis.end) <= tol)
-    )
+    return all(abs(x - y) <= tol for x, y in zip(p1 + (e1 or ()), p2 + (e2 or ())))
 
 
 def robots_equal(r1: RobotModel, r2: RobotModel, tol: float = _EQUAL_TOL) -> bool:

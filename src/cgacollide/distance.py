@@ -42,17 +42,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .primitives import DEGENERACY_EPS2, Segment, Vec, _dot, _frozen_array, as_triple
 
-from .objects import as_coords
-from .primitives import DEGENERACY_EPS2, Segment, _dot
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative threshold on a*c - b^2 below which segments count as parallel.
 PARALLEL_EPS = 1e-10
-
-Vec = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
 
 
 def _ends(seg: Segment) -> tuple[Vec, Vec]:
-    return tuple(seg.start.tolist()), tuple(seg.end.tolist())
+    return seg.start_xyz, seg.end_xyz
 
 
 def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:
@@ -201,17 +199,17 @@ def stationary_point(co: SegmentPairCoefficients) -> StationaryPoint:
 
 def center_dist_fa(p1, p2) -> float:
     """Squared distance between two points, via the conformal inner product."""
-    return fa(tuple(as_coords(p1).tolist()), tuple(as_coords(p2).tolist()))
+    return fa(as_triple(p1), as_triple(p2))
 
 
 def center_dist_fb(p, seg: Segment) -> ClosestPair:
     """Squared distance from a point to a segment, with the closest point."""
-    p = tuple(as_coords(p).tolist())
+    p = as_triple(p)
     sq, s, q = fb(p, *_ends(seg))
-    return ClosestPair(0.0, s, np.array(p), np.array(q), sq)
+    return ClosestPair(0.0, s, _frozen_array(p), _frozen_array(q), sq)
 
 
 def center_dist_fc(seg1: Segment, seg2: Segment) -> ClosestPair:
     """Squared distance between two segments, with the closest point pair."""
     sq, s1, s2, q1, q2 = fc(*_ends(seg1), *_ends(seg2))
-    return ClosestPair(s1, s2, np.array(q1), np.array(q2), sq)
+    return ClosestPair(s1, s2, _frozen_array(q1), _frozen_array(q2), sq)

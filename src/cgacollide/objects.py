@@ -8,18 +8,19 @@ Coordinates are millimeters throughout.  A Euclidean point p embeds as
 
 with the coefficient of e_0 fixed at exactly 1 (no projective rescaling), so
 point(p) | point(q) has scalar part -0.5 * |p - q|^2, which distance.py
-evaluates in closed form.  as_coords and as_radius check coordinates and
-radii once, where they enter; every primitive goes through them.
+evaluates in closed form.  The coordinate and radius rules belong to
+primitives (as_triple, as_radius); as_coords is the same rule returning a
+read-only numpy array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cga import BLADE_COUNT, Multivector, null_inf
+from .primitives import _frozen_array, as_radius, as_triple
 
 # Blade bitmasks for the five basis vectors.
 _E1, _E2, _E3, _E0, _EINF = 1, 2, 4, 8, 16
@@ -31,28 +32,12 @@ _UNIT_NORMAL_TOL = 1e-9
 
 def as_coords(p) -> np.ndarray:
     """A finite float (3,) copy of p, read-only so it stays valid; else ValueError."""
-    arr = np.array(p, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"expected 3 coordinates, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError("non-finite coordinates")
-    arr.flags.writeable = False
-    return arr
-
-
-def as_radius(r) -> float:
-    """r as a finite float >= 0; else ValueError."""
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"non-finite radius {r}")
-    if r < 0.0:
-        raise ValueError(f"negative radius {r}")
-    return r
+    return _frozen_array(as_triple(p))
 
 
 def point(p) -> Multivector:
     """Embed a Euclidean point into the conformal algebra."""
-    x, y, z = as_coords(p).tolist()
+    x, y, z = as_triple(p)
     # Left-to-right scalar arithmetic keeps point(p) | point(p) exactly -0.5*0,
     # because the contraction accumulates x*x, y*y, z*z in the same order.
     half_sq = 0.5 * (x * x + y * y + z * z)

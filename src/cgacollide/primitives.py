@@ -1,5 +1,9 @@
 """Robot component primitives: closed balls, axis segments, capsules.
 
+as_triple (three finite numbers) and as_radius (finite, >= 0) check every
+primitive's input once.  Primitives store float triples for the kernels;
+center, start and end are read-only arrays that load numpy on first access.
+
 All membership predicates use closed-set semantics (boundary points are
 inside).  They evaluate the conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2)
 with the same distance kernels as the pair predicates, so a boundary point
@@ -8,15 +12,52 @@ rounds the same way whether it is tested as a member or as a zero-radius ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .objects import as_coords, as_radius
+if TYPE_CHECKING:
+    import numpy as np
 
 # Segments shorter than this (squared mm) behave as single points.
 DEGENERACY_EPS2 = 1e-12
+
+Vec = tuple[float, float, float]
+
+
+def as_triple(p) -> Vec:
+    """p as three finite floats; else ValueError.  Takes exactly what
+    np.array(p, dtype=float) reads as shape (3,): text, unordered containers
+    and arrays of another shape are not coordinates."""
+    try:
+        if isinstance(p, (str, bytes, set, frozenset, dict)) or getattr(p, "ndim", 1) != 1:
+            raise TypeError
+        x, y, z = p
+        xyz = (float(x), float(y), float(z))
+    except (TypeError, ValueError):
+        raise ValueError(f"expected 3 coordinates, got {p!r}") from None
+    if not all(map(math.isfinite, xyz)):
+        raise ValueError("non-finite coordinates")
+    return xyz
+
+
+def as_radius(r) -> float:
+    """r as a finite float >= 0; else ValueError."""
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"non-finite radius {r}")
+    if r < 0.0:
+        raise ValueError(f"negative radius {r}")
+    return r
+
+
+def _frozen_array(xyz: Vec) -> np.ndarray:
+    """A read-only float64 copy of a validated triple."""
+    import numpy as np
+    arr = np.array(xyz, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 def _dot(x, y) -> float:
@@ -25,26 +66,31 @@ def _dot(x, y) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClosedBall:
-    center: np.ndarray
+    center_xyz: Vec
     radius: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_coords(self.center))
-        object.__setattr__(self, "radius", as_radius(self.radius))
+    def __init__(self, center, radius):
+        object.__setattr__(self, "center_xyz", as_triple(center))
+        object.__setattr__(self, "radius", as_radius(radius))
+
+    center = cached_property(lambda self: _frozen_array(self.center_xyz))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Segment:
     """Directed segment sc -> ec; coincident endpoints are allowed."""
 
-    start: np.ndarray
-    end: np.ndarray
+    start_xyz: Vec
+    end_xyz: Vec
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", as_coords(self.start))
-        object.__setattr__(self, "end", as_coords(self.end))
+    def __init__(self, start, end):
+        object.__setattr__(self, "start_xyz", as_triple(start))
+        object.__setattr__(self, "end_xyz", as_triple(end))
+
+    start = cached_property(lambda self: _frozen_array(self.start_xyz))
+    end = cached_property(lambda self: _frozen_array(self.end_xyz))
 
     @property
     def direction(self) -> np.ndarray:
@@ -52,7 +98,7 @@ class Segment:
 
     @property
     def length2(self) -> float:
-        d = self.direction.tolist()
+        d = [e - s for s, e in zip(self.start_xyz, self.end_xyz)]
         return _dot(d, d)
 
     def is_degenerate(self) -> bool:
@@ -83,7 +129,7 @@ def ball_contains(ball: ClosedBall, x) -> bool:
     """True iff x lies in the closed ball (boundary included)."""
     from .distance import center_dist_fa
 
-    return center_dist_fa(x, ball.center) <= ball.radius * ball.radius
+    return center_dist_fa(x, ball.center_xyz) <= ball.radius * ball.radius
 
 
 def capsule_contains(capsule: Capsule, x) -> bool:
@@ -97,5 +143,5 @@ def capsule_contains(capsule: Capsule, x) -> bool:
 def capsule_degenerate_as_ball(capsule: Capsule) -> Optional[ClosedBall]:
     """The equivalent ball when the axis collapses to a point, else None."""
     if capsule.axis.is_degenerate():
-        return ClosedBall(capsule.axis.start, capsule.radius)
+        return ClosedBall(capsule.axis.start_xyz, capsule.radius)
     return None

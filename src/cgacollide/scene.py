@@ -110,15 +110,18 @@ def parse_scene(text: str) -> Scene:
 
 
 def serialize_scene(scene: Scene) -> str:
-    """Render a Scene back to text; numbers round-trip bit-exactly."""
+    """Render a Scene back to text; numbers round-trip bit-exactly.  A robot
+    name the parser cannot read back (empty, whitespace, '#') is a SceneError."""
     lines: list[str] = []
     for robot in scene.robots:
+        if "#" in robot.name or robot.name.split() != [robot.name]:
+            raise SceneError(f"robot name {robot.name!r} cannot be written to a scene file")
         lines.append(f"robot {robot.name}")
         for comp in robot.components:
             if isinstance(comp, ClosedBall):
-                kind, v = "ball", comp.center.tolist()
+                kind, v = "ball", comp.center_xyz
             else:
-                kind, v = "capsule", comp.axis.start.tolist() + comp.axis.end.tolist()
+                kind, v = "capsule", comp.axis.start_xyz + comp.axis.end_xyz
             lines.append(" ".join([kind, *map(repr, v), repr(comp.radius)]))
     return "\n".join(lines) + "\n"
 

@@ -195,6 +195,13 @@ class TestRobotFold:
         with pytest.raises(ValueError):
             robot_union_fold(-1, 3, lambda i: ClosedBall((0, 0, 0), 1))
 
+    def test_long_range_in_ascending_order(self):
+        # deeper than the interpreter's default recursion limit of 1000
+        calls = []
+        got = robot_union_fold(0, 5000, lambda i: calls.append(i) or ClosedBall((i, 0, 0), 1))
+        assert calls == list(range(5001))
+        assert [c.center_xyz[0] for c in got] == calls
+
 
 class TestRobotModel:
     def test_empty_robot_rejected(self):

@@ -3,17 +3,61 @@ import pytest
 
 from cgacollide.cga import inner, scalar_part
 from cgacollide.collision import balls_collide
-from cgacollide.objects import point, sphere
+from cgacollide.objects import as_coords, point, sphere
 from cgacollide.primitives import (
     DEGENERACY_EPS2,
     Capsule,
     ClosedBall,
     Segment,
+    as_triple,
     ball_contains,
     capsule_contains,
     capsule_degenerate_as_ball,
     segment_point_at,
 )
+
+
+def numpy_rule(p) -> np.ndarray:
+    """The coordinate rule stated with numpy: shape (3,) as float64, all finite."""
+    arr = np.array(p, dtype=np.float64)
+    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+        raise ValueError(p)
+    return arr
+
+
+# Every way in: the array rule, the triple rule, and each constructor in each slot.
+BUILDERS = {
+    "as_coords": as_coords,
+    "as_triple": as_triple,
+    "ball": lambda p: ClosedBall(p, 1.0).center_xyz,
+    "segment-start": lambda p: Segment(p, (0, 0, 0)).start_xyz,
+    "segment-end": lambda p: Segment((0, 0, 0), p).end_xyz,
+    "capsule": lambda p: Capsule(Segment(p, p), 1.0).axis.start_xyz,
+}
+
+REJECTED = {
+    "length-2": [1.0, 2.0],
+    "length-4": [1.0, 2.0, 3.0, 4.0],
+    "shape-3x1": np.ones((3, 1)),
+    "nested": [[1, 2, 3]],
+    "0-d-array": np.array(5.0),
+    "none": None,
+    "abc": "abc",
+    "digit-string": "123",
+    "set": {1.0, 2.0, 3.0},
+    "nan": [0.0, np.nan, 0.0],
+    "+inf": [np.inf, 0.0, 0.0],
+    "-inf": [0.0, 0.0, -np.inf],
+}
+
+ACCEPTED = {
+    "ints": (1, 2, 3),
+    "list": [1.5, -2.0, 3.25],
+    "float32-array": np.array([0.1, -0.0, 1e30], dtype=np.float32),
+    "int-array": np.array([-7, 0, 2**40]),
+    "mixed-scalars": (np.float64(-0.0), True, "7.5"),
+    "range": range(3),
+}
 
 
 class TestClosedBall:
@@ -162,3 +206,39 @@ class TestCapsule:
         for _ in range(500):
             x = rng.uniform(-2, 6, 3)
             assert capsule_contains(caps, x) == ball_contains(ball, x)
+
+
+class TestCoordinateRule:
+    @pytest.mark.parametrize("p", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejects_what_numpy_rejects(self, p):
+        with pytest.raises((ValueError, TypeError)):  # numpy raised either
+            numpy_rule(p)
+        for build in BUILDERS.values():
+            with pytest.raises(ValueError):  # a TypeError would escape this
+                build(p)
+
+    @pytest.mark.parametrize("p", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_accepts_what_numpy_accepts(self, p):
+        want = [repr(x) for x in numpy_rule(p).tolist()]
+        for name, build in BUILDERS.items():
+            got = build(p)
+            assert [repr(float(x)) for x in got] == want, name
+
+    def test_arrays_are_read_only_copies_of_the_triples(self):
+        seg = Segment((1.5, -2.0, 0.25), (4.0, 5.0, -6.0))
+        ball = ClosedBall((7.0, -0.0, 1e-8), 2.0)
+        for arr, xyz in ((ball.center, ball.center_xyz), (seg.start, seg.start_xyz),
+                         (seg.end, seg.end_xyz)):
+            assert arr.dtype == np.float64 and arr.shape == (3,)
+            assert not arr.flags.writeable
+            assert tuple(arr.tolist()) == xyz and all(arr == xyz)
+        assert ball.center is ball.center  # built once
+
+    def test_input_array_writes_do_not_reach_the_primitive(self):
+        src = np.array([1.0, 2.0, 3.0])
+        ball, seg = ClosedBall(src, 1.0), Segment(src, src)
+        caps = Capsule(Segment(src, src + 1.0), 1.0)
+        src[:] = np.nan  # before the arrays are first built
+        for xyz, arr in ((ball.center_xyz, ball.center), (seg.start_xyz, seg.start),
+                         (seg.end_xyz, seg.end), (caps.axis.start_xyz, caps.axis.start)):
+            assert xyz == (1.0, 2.0, 3.0) and arr.tolist() == [1.0, 2.0, 3.0]

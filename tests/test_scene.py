@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,70 @@ class TestRoundTrip:
             scene = Scene(tuple(robots))
             again = parse_scene(serialize_scene(scene))
             assert scenes_equal(scene, again)
+
+
+class TestSerializeMatchesArrayPath:
+    """serialize_scene writes the stored float triples; the text must equal
+    repr of each value of np.array(coords, dtype=float64).tolist()."""
+
+    @staticmethod
+    def array_path_text(robots) -> str:
+        lines = []
+        for name, comps in robots:
+            lines.append(f"robot {name}")
+            for kind, coords, r in comps:
+                nums = np.array(coords, dtype=np.float64).tolist()
+                lines.append(" ".join([kind, *map(repr, nums), repr(float(r))]))
+        return "\n".join(lines) + "\n"
+
+    def test_table3_text_is_pinned(self):
+        text = serialize_scene(load_table3())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "585b4aa0ae6a5387abc0247bc2ae1b0e80b957c14891667b6996c18cd5d41ff5"
+        )
+
+    def test_random_components_across_scales(self):
+        rng = np.random.default_rng(606)
+        robots, models = [], []
+        for rid in range(6):
+            comps, built = [], []
+            for _ in range(100):  # 600 components in all
+                scale = 10.0 ** rng.uniform(-8, 7)
+                coords = rng.uniform(-1, 1, 6) * scale
+                coords[rng.random(6) < 0.1] = -0.0
+                r = -0.0 if rng.random() < 0.05 else float(rng.uniform(0, 1) * scale)
+                if rng.random() < 0.5:
+                    comps.append(("ball", coords[:3], r))
+                    built.append(ClosedBall(coords[:3], r))
+                else:
+                    comps.append(("capsule", coords, r))
+                    built.append(Capsule(Segment(coords[:3], coords[3:]), r))
+            robots.append((f"r{rid}", comps))
+            models.append(RobotModel(f"r{rid}", tuple(built)))
+        text = serialize_scene(Scene(tuple(models)))
+        assert "-0.0" in text
+        assert text == self.array_path_text(robots)
+
+
+class TestSerializeRobotNames:
+    """A name the parser would split or cut at '#' must not be written."""
+
+    @pytest.mark.parametrize(
+        "names",
+        [("a#",), ("arm #1", "arm #2"), ("left arm",), ("",)],
+        ids=["hash", "hash-suffixes", "space", "empty"],
+    )
+    def test_unreadable_name_rejected(self, names):
+        ball = ClosedBall((0, 0, 0), 1.0)
+        scene = Scene(tuple(RobotModel(n, (ball,)) for n in names))
+        with pytest.raises(SceneError, match=re.escape(repr(names[0]))):
+            serialize_scene(scene)
+
+    def test_readable_names_still_round_trip(self):
+        ball = ClosedBall((0, 0, 0), 1.0)
+        scene = Scene((RobotModel("arm-1", (ball,)), RobotModel("arm_2.b", (ball,))))
+        again = parse_scene(serialize_scene(scene))
+        assert [r.name for r in again.robots] == ["arm-1", "arm_2.b"]
 
 
 class TestBundles:
