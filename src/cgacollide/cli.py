@@ -9,6 +9,7 @@ contact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 from .collision import (
     CollisionReport,
-    RobotModel,
     ball_capsule_collide,
     balls_collide,
     iter_pair_checks,
@@ -36,11 +36,27 @@ class CliConfig:
     report_all_pairs: bool = True
 
 
-def _load_two_robots(cfg: CliConfig) -> tuple[Scene, RobotModel, RobotModel]:
-    scene = load_scene(cfg.scene_path)
-    if len(scene.robots) != 2:
-        raise SceneError(f"collision check needs exactly 2 robots, got {len(scene.robots)}")
-    return scene, scene.robots[0], scene.robots[1]
+def _load(cfg: CliConfig, counts: tuple[int, ...], need: str) -> Scene | None:
+    """The scene, if it holds an allowed number of robots; else print the
+    input error and return None."""
+    try:
+        scene = load_scene(cfg.scene_path)
+        if len(scene.robots) not in counts:
+            raise SceneError(f"{need}, got {len(scene.robots)}")
+        return scene
+    except (OSError, SceneError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _write(cfg: CliConfig, out, payload, lines) -> None:
+    """Print payload() as JSON or lines() as text, each led by the scene path."""
+    out = out if out is not None else sys.stdout
+    if cfg.output_format == "json":
+        print(json.dumps({"scene": cfg.scene_path, **payload()}), file=out)
+    else:
+        for line in (f"scene: {cfg.scene_path}", *lines()):
+            print(line, file=out)
 
 
 def run_check(cfg: CliConfig, out=None) -> int:
@@ -48,13 +64,10 @@ def run_check(cfg: CliConfig, out=None) -> int:
 
     Returns 1 on collision, 0 on no collision, 2 on input error.
     """
-    out = out if out is not None else sys.stdout
-    try:
-        scene, r1, r2 = _load_two_robots(cfg)
-    except (OSError, SceneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scene = _load(cfg, (2,), "collision check needs exactly 2 robots")
+    if scene is None:
         return 2
-
+    r1, r2 = scene.robots
     if cfg.report_all_pairs:
         report = robots_collide(r1, r2, skip_adjacent=cfg.skip_adjacent)
     else:
@@ -62,28 +75,23 @@ def run_check(cfg: CliConfig, out=None) -> int:
         hit = next((p for p in pairs if p.colliding), None)
         report = CollisionReport(hit is not None, () if hit is None else (hit,))
 
-    if cfg.output_format == "json":
-        payload = {
-            "scene": cfg.scene_path,
+    _write(
+        cfg, out,
+        lambda: {
             "skip_adjacent": cfg.skip_adjacent,
             "verdict": report.verdict,
             "pairs": [p._asdict() for p in report.pairs],  # PairCheck fields are the schema
-        }
-        print(json.dumps(payload), file=out)
-    else:
-        print(f"scene: {cfg.scene_path}", file=out)
-        print(
+        },
+        lambda: [
             f"robots: {r1.name} ({len(r1)} components) vs {r2.name} ({len(r2)} components)",
-            file=out,
-        )
-        for p in report.pairs:
-            state = "COLLISION" if p.colliding else "separate"
-            print(
+            *(
                 f"pair i={p.i} j={p.j}  squared={p.squared_distance:.6g}"
-                f"  threshold={p.threshold:.6g}  {state}",
-                file=out,
-            )
-        print(f"verdict: {'collision' if report.verdict else 'no collision'}", file=out)
+                f"  threshold={p.threshold:.6g}  {'COLLISION' if p.colliding else 'separate'}"
+                for p in report.pairs
+            ),
+            f"verdict: {'collision' if report.verdict else 'no collision'}",
+        ],
+    )
     return 1 if report.verdict else 0
 
 
@@ -93,36 +101,24 @@ def run_dist(cfg: CliConfig, out=None) -> int:
     With two robots the matrix crosses them; with a single robot it is the
     robot against itself.
     """
-    out = out if out is not None else sys.stdout
-    try:
-        scene = load_scene(cfg.scene_path)
-        if len(scene.robots) > 2:
-            raise SceneError(f"distance matrix needs 1 or 2 robots, got {len(scene.robots)}")
-    except (OSError, SceneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scene = _load(cfg, (1, 2), "distance matrix needs 1 or 2 robots")
+    if scene is None:
         return 2
-
-    r1 = scene.robots[0]
-    r2 = scene.robots[1] if len(scene.robots) == 2 else r1
+    r1, r2 = scene.robots[0], scene.robots[-1]  # one robot is crossed with itself
     rows = [
-        (p.i, p.j, p.squared_distance, math.sqrt(p.squared_distance))
+        {"i": p.i, "j": p.j, "squared_distance": p.squared_distance,
+         "distance": math.sqrt(p.squared_distance)}
         for p in iter_pair_checks(r1, r2, skip_adjacent=cfg.skip_adjacent)
     ]
-    if cfg.output_format == "json":
-        payload = {
-            "scene": cfg.scene_path,
-            "robots": [r1.name, r2.name],
-            "pairs": [
-                {"i": i, "j": j, "squared_distance": sq, "distance": d}
-                for i, j, sq, d in rows
-            ],
-        }
-        print(json.dumps(payload), file=out)
-    else:
-        print(f"scene: {cfg.scene_path}", file=out)
-        print(f"robots: {r1.name} vs {r2.name}", file=out)
-        for i, j, sq, d in rows:
-            print(f"pair i={i} j={j}  squared={sq:.6g}  distance={d:.6g}", file=out)
+    _write(
+        cfg, out,
+        lambda: {"robots": [r1.name, r2.name], "pairs": rows},
+        lambda: [
+            f"robots: {r1.name} vs {r2.name}",
+            *("pair i={i} j={j}  squared={squared_distance:.6g}  distance={distance:.6g}"
+              .format_map(row) for row in rows),
+        ],
+    )
     return 0
 
 
@@ -202,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cgacollide",
         description="Collision checking for robots modeled as balls and capsules.",
     )
+    # what a subcommand does not define reads as its default
+    parser.set_defaults(scene=None, scene_opt=None, format="text", skip_adjacent=False,
+                        all_pairs=True)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_scene_args(p):
@@ -224,28 +223,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> CliConfig:
-    scene_path = None
-    if args.subcommand in ("check", "dist"):
-        if args.scene and args.scene_opt:
-            print("error: give the scene either positionally or via --scene, not both",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        scene_path = args.scene or args.scene_opt
-        if scene_path is None:
-            print("error: a scene file is required", file=sys.stderr)
-            raise SystemExit(2)
-    return CliConfig(
-        subcommand=args.subcommand,
-        scene_path=scene_path,
-        output_format=getattr(args, "format", "text"),
-        skip_adjacent=getattr(args, "skip_adjacent", False),
-        report_all_pairs=getattr(args, "all_pairs", True),
-    )
+    if args.scene and args.scene_opt:
+        print("error: give the scene either positionally or via --scene, not both",
+              file=sys.stderr)
+        raise SystemExit(2)
+    scene_path = args.scene or args.scene_opt
+    if scene_path is None and args.subcommand != "selftest":
+        print("error: a scene file is required", file=sys.stderr)
+        raise SystemExit(2)
+    return CliConfig(args.subcommand, scene_path, args.format, args.skip_adjacent,
+                     args.all_pairs)
+
+
+_parser = functools.cache(build_parser)  # built once: argparse setup costs more than a check
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(_parser().parse_args(argv))
     if cfg.subcommand == "check":
         return run_check(cfg)
     if cfg.subcommand == "dist":

@@ -134,10 +134,10 @@ def ball_contains(ball: ClosedBall, x) -> bool:
 
 def capsule_contains(capsule: Capsule, x) -> bool:
     """True iff x lies within capsule.radius of the axis segment."""
-    from .distance import center_dist_fb
+    from .distance import fb
 
-    sq = center_dist_fb(x, capsule.axis).squared_distance
-    return sq <= capsule.radius * capsule.radius
+    axis = capsule.axis
+    return fb(as_triple(x), axis.start_xyz, axis.end_xyz)[0] <= capsule.radius * capsule.radius
 
 
 def capsule_degenerate_as_ball(capsule: Capsule) -> Optional[ClosedBall]:

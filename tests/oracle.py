@@ -10,11 +10,15 @@ Two independent witnesses for the production distance kernels:
 
 * a coordinate-only reference that recomputes each squared distance with
   plain dot-product arithmetic and shares no code with the conformal path.
+
+* an exact segment-segment minimum in rational arithmetic over the float
+  inputs, for cases where rounding decides which branch finds the minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -151,3 +155,40 @@ def reference_segment_distance2(seg1: Segment, seg2: Segment) -> float:
 def reference_point_segment_distance2(p, seg: Segment) -> float:
     """Coordinate-only point-segment squared distance (see above)."""
     return _ref_point_segment2(p, seg.start, seg.end)
+
+
+def exact_segment_distance2(a1, b1, a2, b2) -> Fraction:
+    """Exact minimum squared distance between segments a1 -> b1 and a2 -> b2.
+
+    The quadratic is convex, so its minimum over the unit square is the
+    stationary point when that lies inside, else the best of the four edges.
+    """
+    a1, b1, a2, b2 = ([Fraction(x) for x in p] for p in (a1, b1, a2, b2))
+
+    def sub(x, y):
+        return [i - j for i, j in zip(x, y)]
+
+    def dot(x, y):
+        return sum(i * j for i, j in zip(x, y))
+
+    def at(p, d, t):
+        return [i + t * j for i, j in zip(p, d)]
+
+    def point_segment(p, a, b):
+        u = sub(b, a)
+        uu = dot(u, u)
+        t = min(max(dot(sub(p, a), u) / uu, 0), 1) if uu else 0
+        d = sub(p, at(a, u, t))
+        return dot(d, d)
+
+    best = min(point_segment(a1, a2, b2), point_segment(b1, a2, b2),
+               point_segment(a2, a1, b1), point_segment(b2, a1, b1))
+    u, v, w = sub(b1, a1), sub(b2, a2), sub(a1, a2)
+    a, b, c, d, e = dot(u, u), -dot(u, v), dot(v, v), dot(u, w), -dot(v, w)
+    det = a * c - b * b
+    if det:
+        s1, s2 = (b * e - c * d) / det, (b * d - a * e) / det
+        if 0 <= s1 <= 1 and 0 <= s2 <= 1:
+            gap = sub(at(a1, u, s1), at(a2, v, s2))
+            best = min(best, dot(gap, gap))
+    return best

@@ -21,7 +21,8 @@ if sys.argv[1] == "blocked":
 
 import cgacollide, cgacollide.cli
 from cgacollide import (
-    bundled_scene_path, parse_scene, robots_collide, robots_collide_any, serialize_scene,
+    ball_contains, bundled_scene_path, capsule_contains, parse_scene, robots_collide,
+    robots_collide_any, serialize_scene,
 )
 
 path = bundled_scene_path("table3.scene")
@@ -30,6 +31,8 @@ with open(path, encoding="utf-8") as fh:
 text = serialize_scene(scene)
 assert serialize_scene(parse_scene(text)) == text
 print(text, robots_collide(*scene.robots), robots_collide_any(*scene.robots))
+*links, ball = scene.robots[0].components
+print(ball_contains(ball, ball.center_xyz), capsule_contains(links[0], links[0].axis.end_xyz))
 for args in (["check", path], ["check", "--format", "json", path],
              ["check", "--no-all-pairs", path], ["dist", path]):
     print("exit", cgacollide.cli.main(args))

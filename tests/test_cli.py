@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -199,3 +201,31 @@ class TestSubprocessInvocation:
         )
         assert proc.returncode == 1
         assert "verdict: collision" in proc.stdout
+
+
+class TestPinnedOutput:
+    """Every byte `check` and `dist` write, and every exit code, stays fixed."""
+
+    MATRIX = [
+        *(["check", *flags] for flags in (
+            [], ["--format", "json"], ["--no-all-pairs"],
+            ["--no-all-pairs", "--format", "json", "--skip-adjacent"],
+        )),
+        *(["dist", *flags] for flags in ([], ["--format", "json"], ["--skip-adjacent"])),
+    ]
+
+    def test_output_bytes(self, tmp_path, monkeypatch, capsys):
+        for name in ("table3.scene", "separated.scene"):
+            shutil.copy(bundled_scene_path(name), tmp_path / name)
+        monkeypatch.chdir(tmp_path)  # relative names keep paths out of the bytes
+        runs = [[*args, name] for name in ("table3.scene", "separated.scene")
+                for args in self.MATRIX]
+        runs += [["check", "no-such.scene"], ["dist", "no-such.scene"]]
+        h = hashlib.sha256()
+        for args in runs:
+            code = main(args)
+            out, err = capsys.readouterr()
+            h.update(repr((args, code, out, err)).encode())
+        assert h.hexdigest() == (
+            "6abdee1f0a70b7e2b7b241eded3fbab5830b1645bd53454099b7829e31d49c59"
+        )

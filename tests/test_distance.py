@@ -16,6 +16,7 @@ from cgacollide.distance import (
 )
 from oracle import (
     GridSpec,
+    exact_segment_distance2,
     grid_upper_slack,
     oracle_point_segment,
     oracle_segment_segment,
@@ -356,6 +357,24 @@ class TestSegmentSegment:
         assert r.squared_distance == 0.0
         r2 = center_dist_fc(seg1, seg2)
         assert (r.s1, r.s2) == (r2.s1, r2.s2)
+
+    # 1 m links whose gap closes from 1 to 0.991 mm: a*c - b^2 = 81 is under
+    # PARALLEL_EPS*a*c = 100, so the minimum must come from the edge search
+    FAR_END = ((0, 0, 0), (1000, 0, 0), (0, 1, 0), (1000, 0.991, 0))
+    NEAR_PARALLEL = {
+        "far-end": FAR_END,
+        "near-end": ((0, 0, 0), (1000, 0, 0), (0, 0.991, 0), (1000, 1, 0)),
+        "mirrored": ((0, 0, 0), (1000, 0, 0), (0, -1, 0), (1000, -0.991, 0)),
+        "offset-1e3": tuple(tuple(x + 1e3 for x in p) for p in FAR_END),
+    }
+
+    @pytest.mark.parametrize("ends", NEAR_PARALLEL.values(), ids=NEAR_PARALLEL)
+    def test_near_parallel_minimum_at_an_end(self, ends):
+        seg1, seg2 = Segment(*ends[:2]), Segment(*ends[2:])
+        assert not stationary_point(segment_pair_coefficients(seg1, seg2)).exists
+        want = exact_segment_distance2(*ends)
+        got = center_dist_fc(seg1, seg2).squared_distance
+        assert abs(got - want) <= 1e-9 * want
 
 
 class TestShortSegments:
