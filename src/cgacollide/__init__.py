@@ -15,8 +15,10 @@ The package is organized bottom-up:
 All distances are SQUARED millimeters unless a name says otherwise.
 Input is checked once, where it enters: primitives.as_triple (finite
 coordinates) and primitives.as_radius (finite radius >= 0) back every
-primitive, and scene parsing checks syntax only.  The collision check runs
-on float triples without numpy; the algebra (cga, objects) loads on first use.
+primitive, and scene parsing checks syntax only.  A coordinate has one form,
+the float triple: primitives hold it and the kernels return it, so the
+collision check runs without numpy; the algebra (cga, objects) loads on
+first use.
 """
 
 import importlib

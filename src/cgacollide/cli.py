@@ -161,7 +161,7 @@ def selftest_checks(signature=None) -> list[tuple[str, bool]]:
     checks.append(("distance-identity", ok))
 
     seg = Segment((3.0, -2.0, 7.0), (3.0, -2.0, 7.0))
-    ok = all(np.array_equal(seg.point_at(t), seg.start) for t in (0.0, 0.25, 0.5, 1.0))
+    ok = all(seg.point_at(t) == seg.start for t in (0.0, 0.25, 0.5, 1.0))
     checks.append(("degenerate-segment-is-point", ok))
 
     caps = Capsule(Segment((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)), 2.0)

@@ -26,8 +26,8 @@ _EQUAL_TOL = 1e-12
 def _centers(c: Component) -> tuple:
     """(start, end or None for a ball, radius) of a component, as floats."""
     if isinstance(c, ClosedBall):
-        return c.center_xyz, None, c.radius
-    return c.axis.start_xyz, c.axis.end_xyz, c.radius
+        return c.center, None, c.radius
+    return c.axis.start, c.axis.end, c.radius
 
 
 def _pair_checks(comps1, comps2, skip_adjacent: bool = False) -> Iterator[tuple]:

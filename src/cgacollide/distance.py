@@ -13,6 +13,8 @@ P|Q = (p.q - 0.5*|q|^2) - 0.5*|p|^2, summed in the order of the 32-blade
 contraction, so the two agree bit for bit; fb and fc apply fa to witness
 points.  The kernels trust their float triples: coordinates are validated
 where they enter (primitives, scene parsing, center_dist_fa/fb/fc).
+ClosestPair returns the witnesses q1, q2 as float triples as well, so
+nothing here loads numpy.
 
 The point-segment case split:
 
@@ -42,12 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .primitives import DEGENERACY_EPS2, Segment, Vec, _dot, _frozen_array, as_triple
-
-if TYPE_CHECKING:
-    import numpy as np
+from .primitives import DEGENERACY_EPS2, Segment, Vec, _dot, _sub, as_triple
 
 # Relative threshold on a*c - b^2 below which segments count as parallel.
 PARALLEL_EPS = 1e-10
@@ -63,8 +62,8 @@ class ClosestPair:
 
     s1: float
     s2: float
-    q1: np.ndarray
-    q2: np.ndarray
+    q1: Vec
+    q2: Vec
     squared_distance: float
 
     @property
@@ -93,10 +92,6 @@ class StationaryPoint(NamedTuple):
     s1k: float
     s2k: float
     exists: bool
-
-
-def _sub(x: Vec, y: Vec) -> Vec:
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
 
 
 def fa(p: Vec, q: Vec) -> float:
@@ -171,13 +166,9 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
     return min(edges)
 
 
-def _ends(seg: Segment) -> tuple[Vec, Vec]:
-    return seg.start_xyz, seg.end_xyz
-
-
 def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:
     """Quadratic coefficients of the squared distance between segment points."""
-    return SegmentPairCoefficients(*_coefficients(*_ends(seg1), *_ends(seg2)))
+    return SegmentPairCoefficients(*_coefficients(seg1.start, seg1.end, seg2.start, seg2.end))
 
 
 def segment_pair_quadratic(co: SegmentPairCoefficients, s1: float, s2: float) -> float:
@@ -205,11 +196,11 @@ def center_dist_fa(p1, p2) -> float:
 def center_dist_fb(p, seg: Segment) -> ClosestPair:
     """Squared distance from a point to a segment, with the closest point."""
     p = as_triple(p)
-    sq, s, q = fb(p, *_ends(seg))
-    return ClosestPair(0.0, s, _frozen_array(p), _frozen_array(q), sq)
+    sq, s, q = fb(p, seg.start, seg.end)
+    return ClosestPair(0.0, s, p, q, sq)
 
 
 def center_dist_fc(seg1: Segment, seg2: Segment) -> ClosestPair:
     """Squared distance between two segments, with the closest point pair."""
-    sq, s1, s2, q1, q2 = fc(*_ends(seg1), *_ends(seg2))
-    return ClosestPair(s1, s2, _frozen_array(q1), _frozen_array(q2), sq)
+    sq, s1, s2, q1, q2 = fc(seg1.start, seg1.end, seg2.start, seg2.end)
+    return ClosestPair(s1, s2, q1, q2, sq)

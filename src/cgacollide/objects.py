@@ -9,8 +9,8 @@ Coordinates are millimeters throughout.  A Euclidean point p embeds as
 with the coefficient of e_0 fixed at exactly 1 (no projective rescaling), so
 point(p) | point(q) has scalar part -0.5 * |p - q|^2, which distance.py
 evaluates in closed form.  The coordinate and radius rules belong to
-primitives (as_triple, as_radius); as_coords is the same rule returning a
-read-only numpy array.
+primitives (as_triple, as_radius); as_coords is the coordinate rule
+returning a read-only numpy array, the one array form of a coordinate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cga import BLADE_COUNT, Multivector, null_inf
-from .primitives import _frozen_array, as_radius, as_triple
+from .primitives import as_radius, as_triple
 
 # Blade bitmasks for the five basis vectors.
 _E1, _E2, _E3, _E0, _EINF = 1, 2, 4, 8, 16
@@ -31,8 +31,10 @@ _UNIT_NORMAL_TOL = 1e-9
 
 
 def as_coords(p) -> np.ndarray:
-    """A finite float (3,) copy of p, read-only so it stays valid; else ValueError."""
-    return _frozen_array(as_triple(p))
+    """A finite float64 (3,) copy of p, read-only so it stays valid; else ValueError."""
+    arr = np.array(as_triple(p), dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 def point(p) -> Multivector:

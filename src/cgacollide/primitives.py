@@ -1,8 +1,8 @@
 """Robot component primitives: closed balls, axis segments, capsules.
 
 as_triple (three finite numbers) and as_radius (finite, >= 0) check every
-primitive's input once.  Primitives store float triples for the kernels;
-center, start and end are read-only arrays that load numpy on first access.
+primitive's input once.  Primitives hold their coordinates as float triples,
+the one form the distance kernels read; nothing here loads numpy.
 
 All membership predicates use closed-set semantics (boundary points are
 inside).  They evaluate the conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2)
@@ -14,11 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional
 
 # Segments shorter than this (squared mm) behave as single points.
 DEGENERACY_EPS2 = 1e-12
@@ -43,8 +39,13 @@ def as_triple(p) -> Vec:
 
 
 def as_radius(r) -> float:
-    """r as a finite float >= 0; else ValueError."""
-    r = float(r)
+    """r as a finite float >= 0; else ValueError.  Text is not a radius."""
+    try:
+        if isinstance(r, (str, bytes, bytearray)):
+            raise TypeError
+        r = float(r)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a radius, got {r!r}") from None
     if not math.isfinite(r):
         raise ValueError(f"non-finite radius {r}")
     if r < 0.0:
@@ -52,12 +53,8 @@ def as_radius(r) -> float:
     return r
 
 
-def _frozen_array(xyz: Vec) -> np.ndarray:
-    """A read-only float64 copy of a validated triple."""
-    import numpy as np
-    arr = np.array(xyz, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+def _sub(x: Vec, y: Vec) -> Vec:
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
 
 
 def _dot(x, y) -> float:
@@ -68,44 +65,41 @@ def _dot(x, y) -> float:
 
 @dataclass(frozen=True, init=False)
 class ClosedBall:
-    center_xyz: Vec
+    center: Vec
     radius: float
 
     def __init__(self, center, radius):
-        object.__setattr__(self, "center_xyz", as_triple(center))
+        object.__setattr__(self, "center", as_triple(center))
         object.__setattr__(self, "radius", as_radius(radius))
-
-    center = cached_property(lambda self: _frozen_array(self.center_xyz))
 
 
 @dataclass(frozen=True, init=False)
 class Segment:
     """Directed segment sc -> ec; coincident endpoints are allowed."""
 
-    start_xyz: Vec
-    end_xyz: Vec
+    start: Vec
+    end: Vec
 
     def __init__(self, start, end):
-        object.__setattr__(self, "start_xyz", as_triple(start))
-        object.__setattr__(self, "end_xyz", as_triple(end))
-
-    start = cached_property(lambda self: _frozen_array(self.start_xyz))
-    end = cached_property(lambda self: _frozen_array(self.end_xyz))
+        object.__setattr__(self, "start", as_triple(start))
+        object.__setattr__(self, "end", as_triple(end))
 
     @property
-    def direction(self) -> np.ndarray:
-        return self.end - self.start
+    def direction(self) -> Vec:
+        return _sub(self.end, self.start)
 
     @property
     def length2(self) -> float:
-        d = [e - s for s, e in zip(self.start_xyz, self.end_xyz)]
+        d = self.direction
         return _dot(d, d)
 
     def is_degenerate(self) -> bool:
         return self.length2 < DEGENERACY_EPS2
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.start + t * self.direction
+    def point_at(self, t: float) -> Vec:
+        """sc + t*(ec - sc), coordinate by coordinate."""
+        s, d = self.start, self.direction
+        return (s[0] + t * d[0], s[1] + t * d[1], s[2] + t * d[2])
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class Capsule:
         object.__setattr__(self, "radius", as_radius(self.radius))
 
 
-def segment_point_at(seg: Segment, t: float) -> np.ndarray:
+def segment_point_at(seg: Segment, t: float) -> Vec:
     """Affine interpolation sc + t*(ec - sc) for t in [0, 1]."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -129,7 +123,7 @@ def ball_contains(ball: ClosedBall, x) -> bool:
     """True iff x lies in the closed ball (boundary included)."""
     from .distance import center_dist_fa
 
-    return center_dist_fa(x, ball.center_xyz) <= ball.radius * ball.radius
+    return center_dist_fa(x, ball.center) <= ball.radius * ball.radius
 
 
 def capsule_contains(capsule: Capsule, x) -> bool:
@@ -137,11 +131,11 @@ def capsule_contains(capsule: Capsule, x) -> bool:
     from .distance import fb
 
     axis = capsule.axis
-    return fb(as_triple(x), axis.start_xyz, axis.end_xyz)[0] <= capsule.radius * capsule.radius
+    return fb(as_triple(x), axis.start, axis.end)[0] <= capsule.radius * capsule.radius
 
 
 def capsule_degenerate_as_ball(capsule: Capsule) -> Optional[ClosedBall]:
     """The equivalent ball when the axis collapses to a point, else None."""
     if capsule.axis.is_degenerate():
-        return ClosedBall(capsule.axis.start_xyz, capsule.radius)
+        return ClosedBall(capsule.axis.start, capsule.radius)
     return None

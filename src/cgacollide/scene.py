@@ -119,9 +119,9 @@ def serialize_scene(scene: Scene) -> str:
         lines.append(f"robot {robot.name}")
         for comp in robot.components:
             if isinstance(comp, ClosedBall):
-                kind, v = "ball", comp.center_xyz
+                kind, v = "ball", comp.center
             else:
-                kind, v = "capsule", comp.axis.start_xyz + comp.axis.end_xyz
+                kind, v = "capsule", comp.axis.start + comp.axis.end
             lines.append(" ".join([kind, *map(repr, v), repr(comp.radius)]))
     return "\n".join(lines) + "\n"
 

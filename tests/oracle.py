@@ -52,7 +52,8 @@ def oracle_point_segment(p, seg: Segment, grid: GridSpec = DEFAULT_GRID_1D) -> f
     """Minimum squared distance from p over a uniform parameter grid."""
     p = np.asarray(p, dtype=np.float64)
     t = np.linspace(0.0, 1.0, grid.resolution + 1)
-    pts = seg.start[None, :] + t[:, None] * (seg.end - seg.start)[None, :]
+    start, end = np.asarray(seg.start), np.asarray(seg.end)
+    pts = start[None, :] + t[:, None] * (end - start)[None, :]
     diff = pts - p[None, :]
     return float(np.min(np.einsum("ij,ij->i", diff, diff)))
 
@@ -61,9 +62,11 @@ def oracle_segment_segment(seg1: Segment, seg2: Segment, grid: GridSpec = DEFAUL
     """Minimum squared distance over the product parameter grid."""
     n = grid.resolution + 1
     t = np.linspace(0.0, 1.0, n)
-    u = seg1.end - seg1.start
-    v = seg2.end - seg2.start
-    w = seg1.start - seg2.start
+    start1, end1 = np.asarray(seg1.start), np.asarray(seg1.end)
+    start2, end2 = np.asarray(seg2.start), np.asarray(seg2.end)
+    u = end1 - start1
+    v = end2 - start2
+    w = start1 - start2
     # |w + s1*u - s2*v|^2 expanded into grid-separable terms
     uu = float(u @ u)
     vv = float(v @ v)

@@ -124,7 +124,7 @@ def _fb_instances(rng):
     for _ in range(1250):  # beyond an endpoint: projection clamps
         seg = random_segment(rng)
         t = rng.uniform(1.1, 3.0) if rng.random() < 0.5 else rng.uniform(-2.0, -0.1)
-        p = seg.start + t * seg.direction + rng.uniform(-50, 50, 3)
+        p = np.asarray(seg.start) + t * np.asarray(seg.direction) + rng.uniform(-50, 50, 3)
         instances.append((p, seg))
     for _ in range(1250):  # near the axis: interior projection
         seg = random_segment(rng)
@@ -142,7 +142,7 @@ def _fc_instances(rng):
         seg1 = random_segment(rng)
         sc2 = rng.uniform(-1e3, 1e3, 3)
         alpha = float(rng.uniform(0.3, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        instances.append((seg1, Segment(sc2, sc2 + alpha * seg1.direction)))
+        instances.append((seg1, Segment(sc2, sc2 + alpha * np.asarray(seg1.direction))))
     for _ in range(1200):  # at least one degenerate side
         seg1 = random_segment(rng)
         sc2 = rng.uniform(-1e3, 1e3, 3)

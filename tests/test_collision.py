@@ -120,13 +120,13 @@ class TestPairPredicates:
 
         def closest_centers(a, b):
             if isinstance(a, ClosedBall) and isinstance(b, ClosedBall):
-                return a.center, b.center
+                return np.asarray(a.center), np.asarray(b.center)
             if isinstance(a, ClosedBall):
-                return a.center, center_dist_fb(a.center, b.axis).q2
+                return np.asarray(a.center), np.asarray(center_dist_fb(a.center, b.axis).q2)
             if isinstance(b, ClosedBall):
-                return center_dist_fb(b.center, a.axis).q2, b.center
+                return np.asarray(center_dist_fb(b.center, a.axis).q2), np.asarray(b.center)
             r = center_dist_fc(a.axis, b.axis)
-            return r.q1, r.q2
+            return np.asarray(r.q1), np.asarray(r.q2)
 
         def contains(comp, x):
             if isinstance(comp, ClosedBall):
@@ -200,7 +200,7 @@ class TestRobotFold:
         calls = []
         got = robot_union_fold(0, 5000, lambda i: calls.append(i) or ClosedBall((i, 0, 0), 1))
         assert calls == list(range(5001))
-        assert [c.center_xyz[0] for c in got] == calls
+        assert [c.center[0] for c in got] == calls
 
 
 class TestRobotModel:

@@ -181,7 +181,7 @@ class TestPairCoefficients:
             seg1, seg2 = random_segment(rng), random_segment(rng)
             co = segment_pair_coefficients(seg1, seg2)
             s1, s2 = rng.uniform(0, 1, 2)
-            diff = seg1.point_at(s1) - seg2.point_at(s2)
+            diff = np.asarray(seg1.point_at(s1)) - np.asarray(seg2.point_at(s2))
             want = float(diff @ diff)
             got = segment_pair_quadratic(co, s1, s2)
             assert abs(got - want) <= 1e-9 * max(1.0, want)
@@ -321,7 +321,8 @@ class TestSegmentSegment:
             assert 0.0 <= r.s1 <= 1.0 and 0.0 <= r.s2 <= 1.0
             assert np.allclose(r.q1, seg1.point_at(r.s1))
             assert np.allclose(r.q2, seg2.point_at(r.s2))
-            direct = float((r.q1 - r.q2) @ (r.q1 - r.q2))
+            q1, q2 = np.asarray(r.q1), np.asarray(r.q2)
+            direct = float((q1 - q2) @ (q1 - q2))
             assert abs(r.squared_distance - direct) <= 1e-9 * max(1.0, direct)
 
     def test_against_reference_implementation(self):
@@ -434,7 +435,7 @@ class TestConformalIdentityIsExact:
                 shift = float(rng.uniform(-1.0, 1.0))
                 cases = (
                     (seg1, random_segment(rng, scale)),  # random
-                    (seg1, Segment(sc, sc + alpha * seg1.direction)),  # parallel
+                    (seg1, Segment(sc, sc + alpha * np.asarray(seg1.direction))),  # parallel
                     (Segment(sc, sc), seg1),  # degenerate first
                     (seg1, Segment(sc, sc)),  # degenerate second
                     (Segment(sc, sc), Segment(seg1.start, seg1.start)),  # both degenerate

@@ -70,6 +70,9 @@ class TestSphere:
         for r in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite radius"):
                 sphere((0, 0, 0), r)
+        for r in (None, [1.0], 1 + 2j, "1.5", b"2"):
+            with pytest.raises(ValueError, match="expected a radius"):
+                sphere((0, 0, 0), r)
 
     def test_point_sphere_inner_identity(self):
         rng = np.random.default_rng(11)

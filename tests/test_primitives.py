@@ -29,10 +29,10 @@ def numpy_rule(p) -> np.ndarray:
 BUILDERS = {
     "as_coords": as_coords,
     "as_triple": as_triple,
-    "ball": lambda p: ClosedBall(p, 1.0).center_xyz,
-    "segment-start": lambda p: Segment(p, (0, 0, 0)).start_xyz,
-    "segment-end": lambda p: Segment((0, 0, 0), p).end_xyz,
-    "capsule": lambda p: Capsule(Segment(p, p), 1.0).axis.start_xyz,
+    "ball": lambda p: ClosedBall(p, 1.0).center,
+    "segment-start": lambda p: Segment(p, (0, 0, 0)).start,
+    "segment-end": lambda p: Segment((0, 0, 0), p).end,
+    "capsule": lambda p: Capsule(Segment(p, p), 1.0).axis.start,
 }
 
 REJECTED = {
@@ -77,6 +77,9 @@ class TestClosedBall:
         for r in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite radius"):
                 ClosedBall((0, 0, 0), r)
+        for r in (None, [1.0], 1 + 2j, "1.5", b"2"):
+            with pytest.raises(ValueError, match="expected a radius"):
+                ClosedBall((0, 0, 0), r)
 
     def test_owns_validated_coordinates(self):
         # coordinates are checked once, at construction, so the primitive must
@@ -85,7 +88,7 @@ class TestClosedBall:
         ball = ClosedBall(center, 1.0)
         center[0] = np.nan
         assert ball.center[0] == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ball.center[0] = np.nan
 
     def test_membership_agrees_with_conformal_sign_test(self):
@@ -148,6 +151,20 @@ class TestSegment:
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert np.array_equal(segment_point_at(seg, t), seg.start)
 
+    def test_triples_match_numpy_interpolation(self):
+        # s + t*(e - s) coordinate by coordinate rounds exactly like numpy's
+        # A + t*(B - A), extrapolated t (2.08, 1.44, up to 3) included
+        rng = np.random.default_rng(31)
+        for scale in (1e-3, 1.0, 1e3, 1e5):
+            for _ in range(500):
+                a, b = rng.uniform(-scale, scale, (2, 3))
+                seg = Segment(a, b)
+                assert list(seg.direction) == (b - a).tolist()
+                for t in (2.08, 1.44, float(rng.uniform(-1.0, 3.0))):
+                    assert list(seg.point_at(t)) == (a + t * (b - a)).tolist()
+                for t in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
+                    assert list(segment_point_at(seg, t)) == (a + t * (b - a)).tolist()
+
     def test_inner_product_bound_along_segment(self):
         # |P(q(t1)) . P(q(t2))| never exceeds |P(sc) . P(ec)|
         rng = np.random.default_rng(9)
@@ -181,6 +198,9 @@ class TestCapsule:
             Capsule(Segment((0, 0, 0), (1, 0, 0)), -1.0)
         for r in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite radius"):
+                Capsule(Segment((0, 0, 0), (1, 0, 0)), r)
+        for r in (None, [1.0], 1 + 2j, "1.5", b"2"):
+            with pytest.raises(ValueError, match="expected a radius"):
                 Capsule(Segment((0, 0, 0), (1, 0, 0)), r)
 
     def test_degenerate_as_ball(self):
@@ -227,18 +247,18 @@ class TestCoordinateRule:
     def test_arrays_are_read_only_copies_of_the_triples(self):
         seg = Segment((1.5, -2.0, 0.25), (4.0, 5.0, -6.0))
         ball = ClosedBall((7.0, -0.0, 1e-8), 2.0)
-        for arr, xyz in ((ball.center, ball.center_xyz), (seg.start, seg.start_xyz),
-                         (seg.end, seg.end_xyz)):
+        for xyz in (ball.center, seg.start, seg.end):
+            arr = as_coords(xyz)
             assert arr.dtype == np.float64 and arr.shape == (3,)
             assert not arr.flags.writeable
             assert tuple(arr.tolist()) == xyz and all(arr == xyz)
-        assert ball.center is ball.center  # built once
+        assert ball.center is ball.center  # stored, not rebuilt per access
 
     def test_input_array_writes_do_not_reach_the_primitive(self):
         src = np.array([1.0, 2.0, 3.0])
         ball, seg = ClosedBall(src, 1.0), Segment(src, src)
         caps = Capsule(Segment(src, src + 1.0), 1.0)
-        src[:] = np.nan  # before the arrays are first built
-        for xyz, arr in ((ball.center_xyz, ball.center), (seg.start_xyz, seg.start),
-                         (seg.end_xyz, seg.end), (caps.axis.start_xyz, caps.axis.start)):
+        src[:] = np.nan  # after construction
+        for xyz, arr in ((ball.center, np.asarray(ball.center)), (seg.start, np.asarray(seg.start)),
+                         (seg.end, np.asarray(seg.end)), (caps.axis.start, np.asarray(caps.axis.start))):
             assert xyz == (1.0, 2.0, 3.0) and arr.tolist() == [1.0, 2.0, 3.0]
