@@ -32,7 +32,6 @@ class CliConfig:
     subcommand: str
     scene_path: str | None = None
     output_format: str = "text"
-    skip_adjacent: bool = False
     report_all_pairs: bool = True
 
 
@@ -69,16 +68,15 @@ def run_check(cfg: CliConfig, out=None) -> int:
         return 2
     r1, r2 = scene.robots
     if cfg.report_all_pairs:
-        report = robots_collide(r1, r2, skip_adjacent=cfg.skip_adjacent)
+        report = robots_collide(r1, r2)
     else:
-        pairs = iter_pair_checks(r1, r2, skip_adjacent=cfg.skip_adjacent)
+        pairs = iter_pair_checks(r1, r2)
         hit = next((p for p in pairs if p.colliding), None)
         report = CollisionReport(hit is not None, () if hit is None else (hit,))
 
     _write(
         cfg, out,
         lambda: {
-            "skip_adjacent": cfg.skip_adjacent,
             "verdict": report.verdict,
             "pairs": [p._asdict() for p in report.pairs],  # PairCheck fields are the schema
         },
@@ -108,7 +106,7 @@ def run_dist(cfg: CliConfig, out=None) -> int:
     rows = [
         {"i": p.i, "j": p.j, "squared_distance": p.squared_distance,
          "distance": math.sqrt(p.squared_distance)}
-        for p in iter_pair_checks(r1, r2, skip_adjacent=cfg.skip_adjacent)
+        for p in iter_pair_checks(r1, r2)
     ]
     _write(
         cfg, out,
@@ -199,16 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collision checking for robots modeled as balls and capsules.",
     )
     # what a subcommand does not define reads as its default
-    parser.set_defaults(scene=None, scene_opt=None, format="text", skip_adjacent=False,
-                        all_pairs=True)
+    parser.set_defaults(scene=None, format="text", all_pairs=True)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_scene_args(p):
-        p.add_argument("scene", nargs="?", help="scene file path")
-        p.add_argument("--scene", dest="scene_opt", metavar="PATH", help="scene file path")
+        p.add_argument("scene", help="scene file path")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--skip-adjacent", action="store_true",
-                       help="drop pairs with |i-j| <= 1 (self-check mode)")
 
     check = sub.add_parser("check", help="collision check between two robots")
     add_scene_args(check)
@@ -222,24 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    if args.scene and args.scene_opt:
-        print("error: give the scene either positionally or via --scene, not both",
-              file=sys.stderr)
-        raise SystemExit(2)
-    scene_path = args.scene or args.scene_opt
-    if scene_path is None and args.subcommand != "selftest":
-        print("error: a scene file is required", file=sys.stderr)
-        raise SystemExit(2)
-    return CliConfig(args.subcommand, scene_path, args.format, args.skip_adjacent,
-                     args.all_pairs)
-
-
 _parser = functools.cache(build_parser)  # built once: argparse setup costs more than a check
 
 
 def main(argv=None) -> int:
-    cfg = _config_from_args(_parser().parse_args(argv))
+    args = _parser().parse_args(argv)
+    cfg = CliConfig(args.subcommand, args.scene, args.format, args.all_pairs)
     if cfg.subcommand == "check":
         return run_check(cfg)
     if cfg.subcommand == "dist":

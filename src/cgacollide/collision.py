@@ -30,15 +30,13 @@ def _centers(c: Component) -> tuple:
     return c.axis.start, c.axis.end, c.radius
 
 
-def _pair_checks(comps1, comps2, skip_adjacent: bool = False) -> Iterator[tuple]:
+def _pair_checks(comps1, comps2) -> Iterator[tuple]:
     """The one dispatch path: (i, j, squared distance, squared threshold,
     colliding) in lexicographic (i, j) order.  Components become float
     triples once per call, not per pair; the consumer decides when to stop."""
     flat2 = list(map(_centers, comps2))
     for i, (p1, e1, r1) in enumerate(map(_centers, comps1)):
         for j, (p2, e2, r2) in enumerate(flat2):
-            if skip_adjacent and abs(i - j) <= 1:
-                continue
             if e1 is None:
                 sq = fa(p1, p2) if e2 is None else fb(p1, p2, e2)[0]
             else:
@@ -86,9 +84,13 @@ class RobotModel:
     components: tuple[Component, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"robot name must be text, got {self.name!r}")
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError(f"robot {self.name!r} has no components")
+        if not all(isinstance(c, (ClosedBall, Capsule)) for c in self.components):
+            raise ValueError(f"robot {self.name!r}: every component must be a ball or capsule")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -110,30 +112,20 @@ class CollisionReport:
     pairs: tuple[PairCheck, ...]
 
 
-def iter_pair_checks(
-    r1: RobotModel, r2: RobotModel, *, skip_adjacent: bool = False
-) -> Iterator[PairCheck]:
-    """Yield pair evidence in lexicographic (i, j) order.
-
-    skip_adjacent drops pairs with |i - j| <= 1; meant for checking a robot
-    against itself, where joint-connected links always touch.
-    """
-    return starmap(PairCheck, _pair_checks(r1.components, r2.components, skip_adjacent))
+def iter_pair_checks(r1: RobotModel, r2: RobotModel) -> Iterator[PairCheck]:
+    """Yield evidence for all len(r1) * len(r2) pairs in lexicographic (i, j) order."""
+    return starmap(PairCheck, _pair_checks(r1.components, r2.components))
 
 
-def robots_collide(
-    r1: RobotModel, r2: RobotModel, *, skip_adjacent: bool = False
-) -> CollisionReport:
-    """Check every component pair and report complete evidence."""
-    pairs = tuple(iter_pair_checks(r1, r2, skip_adjacent=skip_adjacent))
+def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
+    """Check every component pair, none skipped, and report complete evidence."""
+    pairs = tuple(iter_pair_checks(r1, r2))
     return CollisionReport(any(p.colliding for p in pairs), pairs)
 
 
-def robots_collide_any(
-    r1: RobotModel, r2: RobotModel, *, skip_adjacent: bool = False
-) -> bool:
+def robots_collide_any(r1: RobotModel, r2: RobotModel) -> bool:
     """Boolean-only variant; stops at the first colliding pair."""
-    return any(p[4] for p in _pair_checks(r1.components, r2.components, skip_adjacent))
+    return any(p[4] for p in _pair_checks(r1.components, r2.components))
 
 
 def components_equal(a: Component, b: Component, tol: float = _EQUAL_TOL) -> bool:

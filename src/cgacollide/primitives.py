@@ -13,6 +13,7 @@ rounds the same way whether it is tested as a member or as a zero-radius ball.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,15 +23,25 @@ DEGENERACY_EPS2 = 1e-12
 Vec = tuple[float, float, float]
 
 
+def _real(v) -> float:
+    """float(v); a complex v is a TypeError, also where float() would truncate it."""
+    if not isinstance(v, (float, int, numbers.Real)) and isinstance(v, numbers.Complex):
+        raise TypeError
+    return float(v)
+
+
 def as_triple(p) -> Vec:
     """p as three finite floats; else ValueError.  Takes exactly what
-    np.array(p, dtype=float) reads as shape (3,): text, unordered containers
-    and arrays of another shape are not coordinates."""
+    np.array(p, dtype=float) reads as shape (3,), with one exception: numpy
+    drops the imaginary part of a complex entry, here it is an error.  Text,
+    unordered containers and arrays of another shape are not coordinates."""
     try:
         if isinstance(p, (str, bytes, set, frozenset, dict)) or getattr(p, "ndim", 1) != 1:
             raise TypeError
         x, y, z = p
-        xyz = (float(x), float(y), float(z))
+        xyz = (x, y, z)
+        if not type(x) is type(y) is type(z) is float:  # the scene parser's floats skip this
+            xyz = (_real(x), _real(y), _real(z))
     except (TypeError, ValueError):
         raise ValueError(f"expected 3 coordinates, got {p!r}") from None
     if not all(map(math.isfinite, xyz)):
@@ -39,11 +50,11 @@ def as_triple(p) -> Vec:
 
 
 def as_radius(r) -> float:
-    """r as a finite float >= 0; else ValueError.  Text is not a radius."""
+    """r as a finite float >= 0; else ValueError.  Text and complex numbers are not radii."""
     try:
         if isinstance(r, (str, bytes, bytearray)):
             raise TypeError
-        r = float(r)
+        r = r if type(r) is float else _real(r)
     except (TypeError, ValueError):
         raise ValueError(f"expected a radius, got {r!r}") from None
     if not math.isfinite(r):
@@ -108,6 +119,8 @@ class Capsule:
     radius: float
 
     def __post_init__(self):
+        if not isinstance(self.axis, Segment):
+            raise ValueError(f"capsule axis must be a Segment, got {self.axis!r}")
         object.__setattr__(self, "radius", as_radius(self.radius))
 
 

@@ -61,7 +61,7 @@ class TestCheck:
         assert code == 1
         assert payload["verdict"] is True
         assert payload["scene"] == TABLE3
-        assert payload["skip_adjacent"] is False
+        assert set(payload) == {"scene", "verdict", "pairs"}
         assert len(payload["pairs"]) == 49
         hit = next(p for p in payload["pairs"] if (p["i"], p["j"]) == (6, 5))
         assert hit["colliding"] is True
@@ -156,10 +156,6 @@ class TestArgumentParsing:
         assert main(["check", SEPARATED]) == 0
         capsys.readouterr()
 
-    def test_scene_flag_equivalent(self, capsys):
-        assert main(["check", "--scene", TABLE3]) == 1
-        capsys.readouterr()
-
     def test_scene_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check"])
@@ -191,6 +187,35 @@ class TestArgumentParsing:
         assert "distance-identity" in out
 
 
+class TestEveryPairChecked:
+    """Ball 0 of each robot sits on the other's; no option may drop that pair."""
+
+    @pytest.fixture
+    def coincident(self, tmp_path):
+        scene = tmp_path / "coincident.scene"
+        scene.write_text("robot a\nball 0 0 0 1\nball 500 0 0 1\n"
+                         "robot b\nball 0 0 0 1\nball 0 500 0 1\n")
+        return str(scene)
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--no-all-pairs"]],
+                             ids=["text", "json", "first-hit"])
+    def test_check_reports_the_collision(self, coincident, flags, capsys):
+        assert main(["check", *flags, coincident]) == 1
+        out = capsys.readouterr().out
+        if "json" in flags:
+            hits = [(p["i"], p["j"]) for p in json.loads(out)["pairs"] if p["colliding"]]
+            assert hits == [(0, 0)]
+        else:
+            assert "pair i=0 j=0" in out and "verdict: collision" in out
+
+    @pytest.mark.parametrize("subcommand", ["check", "dist"])
+    def test_pair_filter_flag_refused(self, coincident, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--skip-adjacent", coincident])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --skip-adjacent" in capsys.readouterr().err
+
+
 class TestSubprocessInvocation:
     def test_module_invocation_exit_code(self):
         proc = subprocess.run(
@@ -209,9 +234,9 @@ class TestPinnedOutput:
     MATRIX = [
         *(["check", *flags] for flags in (
             [], ["--format", "json"], ["--no-all-pairs"],
-            ["--no-all-pairs", "--format", "json", "--skip-adjacent"],
+            ["--no-all-pairs", "--format", "json"],
         )),
-        *(["dist", *flags] for flags in ([], ["--format", "json"], ["--skip-adjacent"])),
+        *(["dist", *flags] for flags in ([], ["--format", "json"])),
     ]
 
     def test_output_bytes(self, tmp_path, monkeypatch, capsys):
@@ -227,5 +252,5 @@ class TestPinnedOutput:
             out, err = capsys.readouterr()
             h.update(repr((args, code, out, err)).encode())
         assert h.hexdigest() == (
-            "6abdee1f0a70b7e2b7b241eded3fbab5830b1645bd53454099b7829e31d49c59"
+            "3619c0d684346d261f8f3e6e1650c8dcfaf62d0b1df74b23d04ebb0afac8d486"
         )

@@ -208,6 +208,21 @@ class TestRobotModel:
         with pytest.raises(ValueError):
             RobotModel("empty", ())
 
+    @pytest.mark.parametrize(
+        "name, components",
+        [
+            ("a", "ab"),
+            ("a", (ClosedBall((0, 0, 0), 1.0), Segment((0, 0, 0), (1, 0, 0)))),
+            ("a", ((0, 0, 0),)),
+            (None, (ClosedBall((0, 0, 0), 1.0),)),
+            (7, (ClosedBall((0, 0, 0), 1.0),)),
+        ],
+        ids=["text-components", "bare-segment", "bare-triple", "no-name", "int-name"],
+    )
+    def test_malformed_robot_rejected_at_construction(self, name, components):
+        with pytest.raises(ValueError):
+            RobotModel(name, components)
+
     def test_robots_equal_reflexive(self):
         rng = np.random.default_rng(221)
         r = random_robot(rng, "r")
@@ -246,6 +261,7 @@ class TestRobotsCollide:
         assert report.verdict
         by_pair = {(p.i, p.j): p for p in report.pairs}
         assert len(by_pair) == 49
+        assert sum(p.colliding for p in report.pairs) == 11
         hit = by_pair[(6, 5)]
         assert hit.colliding
         assert hit.squared_distance <= 1e-9
@@ -307,11 +323,8 @@ class TestRobotsCollide:
         assert seen == sorted(seen)
         assert len(seen) == len(r1) * len(r2)
 
-    def test_skip_adjacent_drops_near_diagonal(self):
-        scene = load_table3()
-        r = scene.robots[0]
-        pairs = list(iter_pair_checks(r, r, skip_adjacent=True))
-        assert all(abs(p.i - p.j) > 1 for p in pairs)
-        # consecutive links share a joint; skipping them can clear a healthy arm
-        report_full = robots_collide(r, r)
-        assert report_full.verdict
+    @pytest.mark.parametrize("check", [iter_pair_checks, robots_collide, robots_collide_any])
+    def test_no_pair_filter_option(self, check):
+        r1, r2 = load_table3().robots
+        with pytest.raises(TypeError):
+            check(r1, r2, skip_adjacent=True)

@@ -70,7 +70,8 @@ class TestSphere:
         for r in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite radius"):
                 sphere((0, 0, 0), r)
-        for r in (None, [1.0], 1 + 2j, "1.5", b"2"):
+        for r in (None, [1.0], 1 + 2j, "1.5", b"2", np.complex128(3 + 0j),
+                  np.complex64(1 + 2j), np.complex128(1 + 2j)):
             with pytest.raises(ValueError, match="expected a radius"):
                 sphere((0, 0, 0), r)
 

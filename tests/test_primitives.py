@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,15 @@ from cgacollide.primitives import (
 
 
 def numpy_rule(p) -> np.ndarray:
-    """The coordinate rule stated with numpy: shape (3,) as float64, all finite."""
-    arr = np.array(p, dtype=np.float64)
+    """The coordinate rule stated with numpy: shape (3,) as float64, all finite.
+    The one exception: numpy drops a complex entry's imaginary part with a
+    ComplexWarning, and the rule makes that an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            arr = np.array(p, dtype=np.float64)
+        except np.exceptions.ComplexWarning:
+            raise TypeError(p) from None
     if arr.shape != (3,) or not np.all(np.isfinite(arr)):
         raise ValueError(p)
     return arr
@@ -48,7 +57,13 @@ REJECTED = {
     "nan": [0.0, np.nan, 0.0],
     "+inf": [np.inf, 0.0, 0.0],
     "-inf": [0.0, 0.0, -np.inf],
+    "complex128": [np.complex128(1 + 2j), 0, 0],
+    "complex64": [0, np.complex64(1 + 2j), 0],
+    "complex-zero-imag": [0, 0, np.complex128(3 + 0j)],
 }
+
+# numpy's complex scalars, which float() truncates with only a ComplexWarning
+NUMPY_COMPLEX = (np.complex128(3 + 0j), np.complex64(1 + 2j), np.complex128(1 + 2j))
 
 ACCEPTED = {
     "ints": (1, 2, 3),
@@ -77,7 +92,7 @@ class TestClosedBall:
         for r in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite radius"):
                 ClosedBall((0, 0, 0), r)
-        for r in (None, [1.0], 1 + 2j, "1.5", b"2"):
+        for r in (None, [1.0], 1 + 2j, "1.5", b"2", *NUMPY_COMPLEX):
             with pytest.raises(ValueError, match="expected a radius"):
                 ClosedBall((0, 0, 0), r)
 
@@ -199,9 +214,17 @@ class TestCapsule:
         for r in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite radius"):
                 Capsule(Segment((0, 0, 0), (1, 0, 0)), r)
-        for r in (None, [1.0], 1 + 2j, "1.5", b"2"):
+        for r in (None, [1.0], 1 + 2j, "1.5", b"2", *NUMPY_COMPLEX):
             with pytest.raises(ValueError, match="expected a radius"):
                 Capsule(Segment((0, 0, 0), (1, 0, 0)), r)
+
+    @pytest.mark.parametrize(
+        "axis", [((0, 0, 0), (1, 0, 0)), None, ClosedBall((0, 0, 0), 1.0)],
+        ids=["endpoint-pair", "none", "ball"],
+    )
+    def test_axis_must_be_a_segment(self, axis):
+        with pytest.raises(ValueError, match="capsule axis must be a Segment"):
+            Capsule(axis, 1.0)
 
     def test_degenerate_as_ball(self):
         caps = Capsule(Segment((1, 1, 1), (1, 1, 1)), 3.0)
