@@ -86,7 +86,10 @@ class RobotModel:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"robot name must be text, got {self.name!r}")
-        object.__setattr__(self, "components", tuple(self.components))
+        try:
+            object.__setattr__(self, "components", tuple(self.components))
+        except TypeError:
+            raise ValueError(f"robot {self.name!r}: components must be iterable") from None
         if not self.components:
             raise ValueError(f"robot {self.name!r} has no components")
         if not all(isinstance(c, (ClosedBall, Capsule)) for c in self.components):

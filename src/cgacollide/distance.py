@@ -34,10 +34,14 @@ whose unconstrained stationary point is
     s1k = (b*e - c*d) / (a*c - b^2)
     s2k = (b*d - a*e) / (a*c - b^2)
 
-valid when a*c - b^2 != 0 (non-parallel segments).  When the stationary
-point is unavailable or falls outside the unit square, the minimum lies on
-the boundary and is found as the best of the four clamped one-dimensional
-problems (each one a point-segment query against an endpoint).
+valid when a*c - b^2 != 0 (non-parallel segments).  Q is convex, so when
+the stationary point falls outside the unit square, clamp and recompute
+(Ericson, Real-Time Collision Detection, 2005, 5.1.9) finds the boundary
+minimum: clamp s1k to [0, 1], solve s2 from that end of segment 1, and
+only if s2 clamps, re-solve s1 from the clamped end of segment 2.
+(Near-)parallel segments keep the best of the four clamped edges: started
+at s1 = 0 they would miss a minimum at s1 = 1 (links whose gap closes at
+their far ends).
 """
 
 from __future__ import annotations
@@ -153,17 +157,29 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
         q2 = (a2[0] + s2 * v[0], a2[1] + s2 * v[1], a2[2] + s2 * v[2])
         return fa(q1, q2), s1, s2, q1, q2
 
-    # Boundary minimum: clamp each edge of the unit square in turn.  Tuples
-    # compare by (squared distance, s1, s2), so ties break toward the smallest
-    # (s1, s2) and parallel overlaps give one answer; equal keys share witnesses.
-    edges = []
-    for s1, p in ((0.0, a1), (1.0, b1)):
+    if not exists:
+        # Clamp each edge of the unit square in turn.  Tuples compare by
+        # (squared distance, s1, s2), so ties break toward the smallest
+        # (s1, s2) and parallel overlaps give one answer; equal keys share
+        # witnesses.
+        edges = []
+        for s1, p in ((0.0, a1), (1.0, b1)):
+            sq, s2, q = fb(p, a2, b2)
+            edges.append((sq, s1, s2, p, q))
+        for s2, p in ((0.0, a2), (1.0, b2)):
+            sq, s1, q = fb(p, a1, b1)
+            edges.append((sq, s1, s2, q, p))
+        return min(edges)
+
+    # Clamp and recompute: one fb call, or two when s2 clamps too.
+    if not 0.0 <= s1 <= 1.0:
+        s1, p = (0.0, a1) if s1 < 0.0 else (1.0, b1)
         sq, s2, q = fb(p, a2, b2)
-        edges.append((sq, s1, s2, p, q))
-    for s2, p in ((0.0, a2), (1.0, b2)):
-        sq, s1, q = fb(p, a1, b1)
-        edges.append((sq, s1, s2, q, p))
-    return min(edges)
+        if 0.0 < s2 < 1.0:
+            return sq, s1, s2, p, q
+    s2, p = (0.0, a2) if s2 <= 0.0 else (1.0, b2)
+    sq, s1, q = fb(p, a1, b1)
+    return sq, s1, s2, q, p
 
 
 def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:

@@ -37,6 +37,8 @@ class Scene:
         object.__setattr__(self, "robots", tuple(self.robots))
         if not self.robots:
             raise SceneError("no robots")
+        if not all(isinstance(r, RobotModel) for r in self.robots):
+            raise SceneError("every robot must be a RobotModel")
         names = [r.name for r in self.robots]
         if len(set(names)) != len(names):
             raise SceneError(f"duplicate robot name in {names}")
@@ -128,7 +130,11 @@ def serialize_scene(scene: Scene) -> str:
 
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SceneError(f"not UTF-8 text ({exc.reason} at offset {exc.start})") from None
+    return parse_scene(text)
 
 
 def bundled_scene_path(name: str) -> str:

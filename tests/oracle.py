@@ -13,6 +13,9 @@ Two independent witnesses for the production distance kernels:
 
 * an exact segment-segment minimum in rational arithmetic over the float
   inputs, for cases where rounding decides which branch finds the minimum.
+
+* the earlier four-edge segment-segment kernel, kept to pin the
+  clamp-and-recompute kernel to it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from cgacollide.primitives import Capsule, Segment
+from cgacollide.distance import _coefficients, _stationary, fa, fb
+from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment
 
 _POINT_EPS2 = 1e-12
 
@@ -195,3 +199,33 @@ def exact_segment_distance2(a1, b1, a2, b2) -> Fraction:
             gap = sub(at(a1, u, s1), at(a2, v, s2))
             best = min(best, dot(gap, gap))
     return best
+
+
+def four_edge_fc(a1, b1, a2, b2):
+    """distance.fc as it was before clamp-and-recompute: on every boundary
+    case, the best of the four edges of the unit square."""
+    u, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
+    if a < DEGENERACY_EPS2:
+        sq, s2, q2 = fb(a1, a2, b2)
+        return sq, 0.0, s2, a1, q2
+    if c < DEGENERACY_EPS2:
+        sq, s1, q1 = fb(a2, a1, b1)
+        return sq, s1, 0.0, q1, a2
+
+    s1, s2, exists = _stationary(a, b, c, d, e)
+    if exists and 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0:
+        q1 = (a1[0] + s1 * u[0], a1[1] + s1 * u[1], a1[2] + s1 * u[2])
+        q2 = (a2[0] + s2 * v[0], a2[1] + s2 * v[1], a2[2] + s2 * v[2])
+        return fa(q1, q2), s1, s2, q1, q2
+
+    # Boundary minimum: clamp each edge of the unit square in turn.  Tuples
+    # compare by (squared distance, s1, s2), so ties break toward the smallest
+    # (s1, s2) and parallel overlaps give one answer; equal keys share witnesses.
+    edges = []
+    for s1, p in ((0.0, a1), (1.0, b1)):
+        sq, s2, q = fb(p, a2, b2)
+        edges.append((sq, s1, s2, p, q))
+    for s2, p in ((0.0, a2), (1.0, b2)):
+        sq, s1, q = fb(p, a1, b1)
+        edges.append((sq, s1, s2, q, p))
+    return min(edges)

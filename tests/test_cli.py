@@ -40,6 +40,15 @@ class TestCheck:
         assert run_check(CliConfig("check", str(bad)), out=io.StringIO()) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["check", "dist"])
+    def test_non_utf8_scene_exits_two(self, tmp_path, subcommand, capsys):
+        bad = tmp_path / "utf16.scene"
+        bad.write_bytes(b"\xff\xfe")
+        assert main([subcommand, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: not UTF-8 text") and "Traceback" not in err
+
     def test_wrong_robot_count_exits_two(self, tmp_path, capsys):
         one = tmp_path / "one.scene"
         one.write_text("robot r\nball 0 0 0 1\n")

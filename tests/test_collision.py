@@ -216,8 +216,11 @@ class TestRobotModel:
             ("a", ((0, 0, 0),)),
             (None, (ClosedBall((0, 0, 0), 1.0),)),
             (7, (ClosedBall((0, 0, 0), 1.0),)),
+            ("a", None),
+            ("a", 5),
         ],
-        ids=["text-components", "bare-segment", "bare-triple", "no-name", "int-name"],
+        ids=["text-components", "bare-segment", "bare-triple", "no-name", "int-name",
+             "no-components", "int-components"],
     )
     def test_malformed_robot_rejected_at_construction(self, name, components):
         with pytest.raises(ValueError):

@@ -7,9 +7,12 @@ from cgacollide.cga import inner, scalar_part
 from cgacollide.collision import RobotModel, capsules_collide, robots_collide
 from cgacollide.distance import (
     PARALLEL_EPS,
+    _coefficients,
+    _stationary,
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
+    fc,
     segment_pair_coefficients,
     segment_pair_quadratic,
     stationary_point,
@@ -17,6 +20,7 @@ from cgacollide.distance import (
 from oracle import (
     GridSpec,
     exact_segment_distance2,
+    four_edge_fc,
     grid_upper_slack,
     oracle_point_segment,
     oracle_segment_segment,
@@ -24,7 +28,7 @@ from oracle import (
     reference_segment_distance2,
 )
 from cgacollide.objects import point
-from cgacollide.primitives import Capsule, Segment
+from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment
 
 
 def random_segment(rng, scale=1e3):
@@ -376,6 +380,87 @@ class TestSegmentSegment:
         want = exact_segment_distance2(*ends)
         got = center_dist_fc(seg1, seg2).squared_distance
         assert abs(got - want) <= 1e-9 * want
+
+
+def as_quads(ends) -> list:
+    """(n, 4, 3) array -> n tuples (a1, b1, a2, b2) of float triples."""
+    return [tuple(map(tuple, q)) for q in np.asarray(ends, dtype=float).tolist()]
+
+
+def arm_links(rng, poses):
+    """Link pairs of two facing six-link arms at random joint angles."""
+    lengths = np.array([100.0, 250.0, 200.0, 150.0, 80.0, 60.0])
+    quads = []
+    for _ in range(poses):
+        arms = []
+        for base, yaw in (((0.0, 0.0, 0.0), 0.0), ((0.0, 400.0, 0.0), math.pi)):
+            heading = yaw + np.cumsum(rng.uniform(-math.pi / 2, math.pi / 2, 6))
+            pitch = np.cumsum(rng.uniform(-math.pi / 2, math.pi / 2, 6))
+            steps = lengths[:, None] * np.stack([
+                np.cos(pitch) * np.cos(heading), np.cos(pitch) * np.sin(heading), np.sin(pitch),
+            ], axis=1)
+            joints = np.vstack([base, base + np.cumsum(steps, axis=0)])
+            arms.append(np.stack([joints[:-1], joints[1:]], axis=1))
+        quads += [(*l1, *l2) for l1 in arms[0] for l2 in arms[1]]
+    return as_quads(quads)
+
+
+def segment_pair_families(rng) -> dict:
+    """Segment pairs that reach every branch of fc, ~1.1e5 in all."""
+    fams = {f"random-{s:g}": as_quads(rng.uniform(-s, s, (15000, 4, 3)))
+            for s in (1e-3, 1.0, 1e3, 1e5)}
+    # ties, shared endpoints, collinear, parallel and degenerate pairs
+    fams["integer-grid"] = as_quads(rng.integers(-3, 4, (15000, 4, 3)))
+    n = 10000
+    a1, d, off = rng.uniform(-1e3, 1e3, (3, n, 3))
+    off *= rng.choice([1e-3, 0.1, 1.0], (n, 1))
+    a2 = a1 + off + rng.uniform(-1.0, 2.0, (n, 1)) * d
+    twist = rng.uniform(-1e3, 1e3, (n, 3)) * rng.choice([1e-12, 1e-9, 1e-6, 1e-4], (n, 1))
+    b2 = a2 + rng.uniform(-2.0, 2.0, (n, 1)) * d + twist
+    fams["near-parallel"] = as_quads(np.stack([a1, a1 + d, a2, b2], axis=1))
+    # lengths around the DEGENERACY_EPS2 cut, against short or long partners
+    n = 5000
+    ends = rng.uniform(-1e2, 1e2, (n, 4, 3))
+    short = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([1e-7, 1e-6, 2e-6, 1e-5, 1e-3], (n, 1))
+    ends[:, 1] = ends[:, 0] + short
+    ends[: n // 2, 3] = ends[: n // 2, 2] + short[n // 2:]
+    fams["short"] = as_quads(ends)
+    fams["arm-links"] = arm_links(rng, 500)
+    return fams
+
+
+def fc_branch(a1, b1, a2, b2, s2) -> str:
+    """The branch fc took, from its stationary point and its returned s2."""
+    _, _, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
+    if a < DEGENERACY_EPS2 or c < DEGENERACY_EPS2:
+        return "degenerate"
+    s1k, s2k, exists = _stationary(a, b, c, d, e)
+    if not exists:
+        return "parallel"
+    if 0.0 <= s1k <= 1.0:
+        return "interior" if 0.0 <= s2k <= 1.0 else "s1 free, s2 clamped"
+    return "s1 clamped, s2 free" if 0.0 < s2 < 1.0 else "corner re-solve"
+
+
+class TestClampAndRecompute:
+    """fc's clamp-and-recompute returns exactly what the four-edge search did."""
+
+    def test_equals_four_edge_search_on_every_branch(self):
+        rng = np.random.default_rng(91)
+        branches = dict.fromkeys(
+            ("interior", "parallel", "s1 clamped, s2 free", "corner re-solve",
+             "s1 free, s2 clamped", "degenerate"), 0)
+        total, differ = 0, []
+        for family, quads in segment_pair_families(rng).items():
+            for ends in quads:
+                got = fc(*ends)
+                if got != four_edge_fc(*ends):
+                    differ.append((family, ends))
+                branches[fc_branch(*ends, got[2])] += 1
+            total += len(quads)
+        assert total >= 100_000
+        assert differ == []
+        assert min(branches.values()) >= 100, branches
 
 
 class TestShortSegments:

@@ -86,6 +86,15 @@ class TestParse:
             parse_scene("robot a\nrobot b\nball 0 0 0 1\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize(
+        "robots",
+        [("x", "y"), (RobotModel("a", (ClosedBall((0, 0, 0), 1.0),)), 5)],
+        ids=["text", "model-and-int"],
+    )
+    def test_scene_holds_only_robot_models(self, robots):
+        with pytest.raises(SceneError, match="RobotModel"):
+            Scene(robots)
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# heading\n\nrobot r  # trailing\n  ball 0 0 0 1\n\n"
         scene = parse_scene(text)
