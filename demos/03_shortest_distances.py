@@ -7,14 +7,16 @@ on the hot path.
 Run:  python3 demos/03_shortest_distances.py
 """
 
-from cgacollide import (
-    Segment,
-    center_dist_fa,
-    center_dist_fb,
-    center_dist_fc,
-    segment_pair_coefficients,
-    stationary_point,
-)
+from cgacollide import Segment, center_dist_fa, center_dist_fb, center_dist_fc
+
+
+def dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
 
 # ----------------------------------------------------------------------
 # Point vs point: straight from the conformal inner product.
@@ -32,22 +34,25 @@ for p in [(0, 0, 0), (0, 0, 200), (3, 4, 100)]:
     print(f"fb({p}) -> squared {r.squared_distance:g} at s={r.s2:g}, closest {r.q2}")
 
 # ----------------------------------------------------------------------
-# Segment vs segment.  Non-parallel pairs may have an interior stationary
-# point of the distance quadratic; otherwise the minimum sits on the
-# boundary of the parameter square and four clamped 1-D problems find it.
+# Segment vs segment.  Non-parallel pairs may have a stationary point of
+# the distance quadratic in the parameter square: there the gap q1 - q2 is
+# perpendicular to both directions.  Otherwise the minimum sits on the
+# boundary of the square: clamp one parameter, re-solve the other, and
+# clamp again only if that leaves [0, 1].  Parallel pairs (zero cross
+# product) have no single stationary point; the best of the four edges wins.
 # ----------------------------------------------------------------------
 skew1 = Segment((0, 0, 0), (1, 0, 0))
 skew2 = Segment((0, 1, 1), (0, -1, 1))
-co = segment_pair_coefficients(skew1, skew2)
-st = stationary_point(co)
-print("\nskew pair: stationary point exists:", st.exists, f"at ({st.s1k:g}, {st.s2k:g})")
 r = center_dist_fc(skew1, skew2)
+gap = (r.q1[0] - r.q2[0], r.q1[1] - r.q2[1], r.q1[2] - r.q2[2])
+print("\nskew pair: gap perpendicular to both directions:",
+      dot(gap, skew1.direction) == dot(gap, skew2.direction) == 0.0,
+      f"-> stationary point ({r.s1:g}, {r.s2:g})")
 print(f"fc = {r.squared_distance:g} at (s1, s2) = ({r.s1:g}, {r.s2:g})")
 
 par1 = Segment((0, 0, 0), (0, 0, 130))
 par2 = Segment((0, 120, 0), (0, 120, 130))
-co = segment_pair_coefficients(par1, par2)
-print("\nparallel pair: a*c - b^2 =", co.a * co.c - co.b * co.b)
-print("stationary point exists:", stationary_point(co).exists)
+print("\nparallel pair: direction1 x direction2 =", cross(par1.direction, par2.direction))
+print("no single stationary point: fc takes the best of the four edges")
 r = center_dist_fc(par1, par2)
 print(f"fc = {r.squared_distance:g} (constant gap 120)")

@@ -13,12 +13,13 @@ The package is organized bottom-up:
 * cli:        `cgacollide check|dist|selftest`
 
 All distances are SQUARED millimeters unless a name says otherwise.
-Input is checked once, where it enters: primitives.as_triple (finite
-coordinates) and primitives.as_radius (finite radius >= 0) back every
-primitive, and scene parsing checks syntax only.  A coordinate has one form,
-the float triple: primitives hold it and the kernels return it, so the
-collision check runs without numpy; the algebra (cga, objects) loads on
-first use.
+Input is checked once, where it enters: primitives.as_triple (coordinates)
+and primitives.as_radius (radius >= 0) back every primitive and accept
+only real numbers within MAX_MM of zero, so no kernel overflows; scene
+parsing checks syntax only.  A coordinate has one form, the float triple:
+primitives hold it and the kernels return it, so the collision check runs
+without numpy; the algebra (cga, objects) loads on first use.  Only the
+pipeline and the paper's models ship; test-only helpers do not.
 """
 
 import importlib
@@ -32,24 +33,17 @@ from .collision import (
     balls_collide,
     capsules_collide,
     components_collide,
-    components_equal,
     iter_pair_checks,
     robot_union_fold,
     robots_collide,
     robots_collide_any,
-    robots_equal,
 )
 from .distance import (
     PARALLEL_EPS,
     ClosestPair,
-    SegmentPairCoefficients,
-    StationaryPoint,
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
-    segment_pair_coefficients,
-    segment_pair_quadratic,
-    stationary_point,
 )
 from .primitives import (
     DEGENERACY_EPS2,
@@ -77,8 +71,8 @@ __version__ = "0.1.0"
 _LAZY = {name: module for module, names in (
     ("cga", "cga BLADE_COUNT DIMENSION SIGNATURE Multivector geometric inner mbasis"
             " null_inf null_zero outer scalar scalar_part zero"),
-    ("objects", "objects ConformalObject as_coords circle_ipns circle_opns line_ipns"
-                " line_opns plane plane_opns point sphere sphere_opns"),
+    ("objects", "objects circle_ipns circle_opns line_ipns line_opns plane plane_opns"
+                " point sphere sphere_opns"),
 ) for name in names.split()}
 
 

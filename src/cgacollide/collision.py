@@ -20,8 +20,6 @@ from .primitives import Capsule, ClosedBall
 
 Component = Union[ClosedBall, Capsule]
 
-_EQUAL_TOL = 1e-12
-
 
 def _centers(c: Component) -> tuple:
     """(start, end or None for a ball, radius) of a component, as floats."""
@@ -129,20 +127,3 @@ def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
 def robots_collide_any(r1: RobotModel, r2: RobotModel) -> bool:
     """Boolean-only variant; stops at the first colliding pair."""
     return any(p[4] for p in _pair_checks(r1.components, r2.components))
-
-
-def components_equal(a: Component, b: Component, tol: float = _EQUAL_TOL) -> bool:
-    """Same kind, and radius and every coordinate within tol."""
-    (p1, e1, r1), (p2, e2, r2) = _centers(a), _centers(b)
-    if (e1 is None) != (e2 is None) or abs(r1 - r2) > tol:
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(p1 + (e1 or ()), p2 + (e2 or ())))
-
-
-def robots_equal(r1: RobotModel, r2: RobotModel, tol: float = _EQUAL_TOL) -> bool:
-    """True when both robots map every shared index to an equal component."""
-    if len(r1) != len(r2):
-        return False
-    return all(
-        components_equal(a, b, tol) for a, b in zip(r1.components, r2.components)
-    )

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .primitives import DEGENERACY_EPS2, Segment, Vec, _dot, _sub, as_triple
 
@@ -73,29 +72,6 @@ class ClosestPair:
     @property
     def distance(self) -> float:
         return math.sqrt(self.squared_distance)
-
-
-class SegmentPairCoefficients(NamedTuple):
-    u: Vec
-    v: Vec
-    w: Vec
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-
-class StationaryPoint(NamedTuple):
-    """Unconstrained minimizer of the segment-pair quadratic.
-
-    exists is False for (near-)parallel segments; s1k/s2k are then 0.
-    """
-
-    s1k: float
-    s2k: float
-    exists: bool
 
 
 def fa(p: Vec, q: Vec) -> float:
@@ -180,28 +156,6 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
     s2, p = (0.0, a2) if s2 <= 0.0 else (1.0, b2)
     sq, s1, q = fb(p, a1, b1)
     return sq, s1, s2, q, p
-
-
-def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:
-    """Quadratic coefficients of the squared distance between segment points."""
-    return SegmentPairCoefficients(*_coefficients(seg1.start, seg1.end, seg2.start, seg2.end))
-
-
-def segment_pair_quadratic(co: SegmentPairCoefficients, s1: float, s2: float) -> float:
-    """Evaluate the squared-distance quadratic Q(s1, s2)."""
-    return (
-        co.a * s1 * s1
-        + co.c * s2 * s2
-        + 2.0 * co.b * s1 * s2
-        + 2.0 * co.d * s1
-        + 2.0 * co.e * s2
-        + co.f
-    )
-
-
-def stationary_point(co: SegmentPairCoefficients) -> StationaryPoint:
-    """Zero of the gradient of Q, when the segments are not parallel."""
-    return StationaryPoint(*_stationary(co.a, co.b, co.c, co.d, co.e))
 
 
 def center_dist_fa(p1, p2) -> float:

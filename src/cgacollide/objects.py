@@ -9,18 +9,16 @@ Coordinates are millimeters throughout.  A Euclidean point p embeds as
 with the coefficient of e_0 fixed at exactly 1 (no projective rescaling), so
 point(p) | point(q) has scalar part -0.5 * |p - q|^2, which distance.py
 evaluates in closed form.  The coordinate and radius rules belong to
-primitives (as_triple, as_radius); as_coords is the coordinate rule
-returning a read-only numpy array, the one array form of a coordinate.
+primitives (as_triple, as_radius); their bound MAX_MM, which plane offsets
+share, keeps the coefficients of points, spheres and planes finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cga import BLADE_COUNT, Multivector, null_inf
-from .primitives import as_radius, as_triple
+from .primitives import MAX_MM, _scalar, as_radius, as_triple
 
 # Blade bitmasks for the five basis vectors.
 _E1, _E2, _E3, _E0, _EINF = 1, 2, 4, 8, 16
@@ -28,13 +26,6 @@ _E1, _E2, _E3, _E0, _EINF = 1, 2, 4, 8, 16
 _NULL_INF = null_inf()
 
 _UNIT_NORMAL_TOL = 1e-9
-
-
-def as_coords(p) -> np.ndarray:
-    """A finite float64 (3,) copy of p, read-only so it stays valid; else ValueError."""
-    arr = np.array(as_triple(p), dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 def point(p) -> Multivector:
@@ -60,12 +51,14 @@ def sphere(center, radius: float) -> Multivector:
 
 def plane(normal, d: float) -> Multivector:
     """IPNS plane n + d*e_inf; n must be unit length, d is the offset in mm."""
-    n = as_coords(normal)
+    n, d = as_triple(normal), _scalar(d, "a plane offset")
     if abs(float(np.linalg.norm(n)) - 1.0) > _UNIT_NORMAL_TOL:
         raise ValueError("plane normal must be unit length")
+    if not -MAX_MM <= d <= MAX_MM:
+        raise ValueError(f"plane offset must be finite and within {MAX_MM:g} mm, got {d}")
     out = np.zeros(BLADE_COUNT)
     out[_E1], out[_E2], out[_E3] = n
-    out[_EINF] = float(d)
+    out[_EINF] = d
     return Multivector._raw(out)
 
 
@@ -97,16 +90,3 @@ def circle_ipns(s1: Multivector, s2: Multivector) -> Multivector:
 def line_ipns(pi1: Multivector, pi2: Multivector) -> Multivector:
     """IPNS line as the intersection pencil of two planes: pi1 ^ pi2."""
     return pi1 ^ pi2
-
-
-@dataclass(frozen=True)
-class ConformalObject:
-    """A tagged geometric object: its kind, representation form, and blade.
-
-    kind is one of "point", "sphere", "plane", "circle", "line"; form is
-    "ipns" or "opns".
-    """
-
-    kind: str
-    form: str
-    rep: Multivector

@@ -1,8 +1,9 @@
 """Robot component primitives: closed balls, axis segments, capsules.
 
-as_triple (three finite numbers) and as_radius (finite, >= 0) check every
-primitive's input once.  Primitives hold their coordinates as float triples,
-the one form the distance kernels read; nothing here loads numpy.
+as_triple (three numbers) and as_radius (a number >= 0) check every
+primitive's input once, and every accepted value lies within MAX_MM of zero,
+so no kernel overflows.  Primitives hold their coordinates as float
+triples, the one form the distance kernels read; nothing here loads numpy.
 
 All membership predicates use closed-set semantics (boundary points are
 inside).  They evaluate the conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2)
@@ -20,6 +21,12 @@ from typing import Optional
 # Segments shorter than this (squared mm) behave as single points.
 DEGENERACY_EPS2 = 1e-12
 
+# Largest accepted |coordinate|, radius and plane offset (mm).  fc's a*c, a
+# product of two squared segment lengths, grows like 144*MAX_MM**4, so
+# MAX_MM must stay well below 1e76 for every kernel to stay finite; 1e50
+# leaves room and still admits every float32.
+MAX_MM = 1e50
+
 Vec = tuple[float, float, float]
 
 
@@ -30,37 +37,44 @@ def _real(v) -> float:
     return float(v)
 
 
+def _scalar(v, what: str) -> float:
+    """float(v) for a real number v; text and complex numbers are a ValueError."""
+    try:
+        if isinstance(v, (str, bytes, bytearray)):
+            raise TypeError
+        return _real(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected {what}, got {v!r}") from None
+
+
 def as_triple(p) -> Vec:
-    """p as three finite floats; else ValueError.  Takes exactly what
-    np.array(p, dtype=float) reads as shape (3,), with one exception: numpy
-    drops the imaginary part of a complex entry, here it is an error.  Text,
-    unordered containers and arrays of another shape are not coordinates."""
+    """p as three finite floats within MAX_MM; else ValueError.  Takes exactly
+    what np.array(p, dtype=float) reads as shape (3,), with two exceptions:
+    numpy drops the imaginary part of a complex entry, here it is an error;
+    and an entry beyond MAX_MM is an error.  Text, unordered containers and
+    arrays of another shape are not coordinates."""
     try:
         if isinstance(p, (str, bytes, set, frozenset, dict)) or getattr(p, "ndim", 1) != 1:
             raise TypeError
         x, y, z = p
-        xyz = (x, y, z)
         if not type(x) is type(y) is type(z) is float:  # the scene parser's floats skip this
-            xyz = (_real(x), _real(y), _real(z))
+            x, y, z = _real(x), _real(y), _real(z)
     except (TypeError, ValueError):
         raise ValueError(f"expected 3 coordinates, got {p!r}") from None
-    if not all(map(math.isfinite, xyz)):
-        raise ValueError("non-finite coordinates")
-    return xyz
+    if not (-MAX_MM <= x <= MAX_MM and -MAX_MM <= y <= MAX_MM and -MAX_MM <= z <= MAX_MM):
+        if not all(map(math.isfinite, (x, y, z))):  # NaN fails the bound as well
+            raise ValueError("non-finite coordinates")
+        raise ValueError(f"coordinates beyond {MAX_MM:g} mm")
+    return x, y, z
 
 
 def as_radius(r) -> float:
-    """r as a finite float >= 0; else ValueError.  Text and complex numbers are not radii."""
-    try:
-        if isinstance(r, (str, bytes, bytearray)):
-            raise TypeError
-        r = r if type(r) is float else _real(r)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected a radius, got {r!r}") from None
-    if not math.isfinite(r):
-        raise ValueError(f"non-finite radius {r}")
-    if r < 0.0:
-        raise ValueError(f"negative radius {r}")
+    """r as a float in [0, MAX_MM]; else ValueError.  Text and complex numbers are not radii."""
+    r = r if type(r) is float else _scalar(r, "a radius")
+    if not 0.0 <= r <= MAX_MM:  # NaN fails the bound as well
+        if not math.isfinite(r):
+            raise ValueError(f"non-finite radius {r}")
+        raise ValueError(f"negative radius {r}" if r < 0.0 else f"radius {r} beyond {MAX_MM:g} mm")
     return r
 
 
@@ -126,7 +140,7 @@ class Capsule:
 
 def segment_point_at(seg: Segment, t: float) -> Vec:
     """Affine interpolation sc + t*(ec - sc) for t in [0, 1]."""
-    t = float(t)
+    t = _scalar(t, "a segment parameter")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"segment parameter must lie in [0, 1], got {t}")
     return seg.point_at(t)

@@ -14,6 +14,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -142,10 +143,11 @@ def bundled_scene_path(name: str) -> str:
 
     Available: "table3.scene" (the two-arm collision scenario) and
     "separated.scene" (the same scenario with the second robot moved
-    +10000 mm in y, collision-free).
+    +10000 mm in y, collision-free).  Only a plain file name in the
+    package's data directory is a bundled scene.
     """
     ref = resources.files("cgacollide").joinpath("data", name)
-    if not ref.is_file():
+    if os.path.basename(name) != name or not ref.is_file():
         raise FileNotFoundError(f"no bundled scene named {name!r}")
     return str(ref)
 

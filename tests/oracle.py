@@ -16,19 +16,27 @@ Two independent witnesses for the production distance kernels:
 
 * the earlier four-edge segment-segment kernel, kept to pin the
   clamp-and-recompute kernel to it bit for bit.
+
+It also holds the test-only views of the package: the segment-pair
+quadratic and its stationary point over distance's private helpers, and
+tolerance-based component and robot equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from cgacollide.collision import Component, RobotModel, _centers
 from cgacollide.distance import _coefficients, _stationary, fa, fb
-from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment
+from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment, Vec
 
 _POINT_EPS2 = 1e-12
+
+_EQUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -229,3 +237,65 @@ def four_edge_fc(a1, b1, a2, b2):
         sq, s1, q = fb(p, a1, b1)
         edges.append((sq, s1, s2, q, p))
     return min(edges)
+
+
+class SegmentPairCoefficients(NamedTuple):
+    u: Vec
+    v: Vec
+    w: Vec
+    a: float
+    b: float
+    c: float
+    d: float
+    e: float
+    f: float
+
+
+class StationaryPoint(NamedTuple):
+    """Unconstrained minimizer of the segment-pair quadratic.
+
+    exists is False for (near-)parallel segments; s1k/s2k are then 0.
+    """
+
+    s1k: float
+    s2k: float
+    exists: bool
+
+
+def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:
+    """Quadratic coefficients of the squared distance between segment points."""
+    return SegmentPairCoefficients(*_coefficients(seg1.start, seg1.end, seg2.start, seg2.end))
+
+
+def segment_pair_quadratic(co: SegmentPairCoefficients, s1: float, s2: float) -> float:
+    """Evaluate the squared-distance quadratic Q(s1, s2)."""
+    return (
+        co.a * s1 * s1
+        + co.c * s2 * s2
+        + 2.0 * co.b * s1 * s2
+        + 2.0 * co.d * s1
+        + 2.0 * co.e * s2
+        + co.f
+    )
+
+
+def stationary_point(co: SegmentPairCoefficients) -> StationaryPoint:
+    """Zero of the gradient of Q, when the segments are not parallel."""
+    return StationaryPoint(*_stationary(co.a, co.b, co.c, co.d, co.e))
+
+
+def components_equal(a: Component, b: Component, tol: float = _EQUAL_TOL) -> bool:
+    """Same kind, and radius and every coordinate within tol."""
+    (p1, e1, r1), (p2, e2, r2) = _centers(a), _centers(b)
+    if (e1 is None) != (e2 is None) or abs(r1 - r2) > tol:
+        return False
+    return all(abs(x - y) <= tol for x, y in zip(p1 + (e1 or ()), p2 + (e2 or ())))
+
+
+def robots_equal(r1: RobotModel, r2: RobotModel, tol: float = _EQUAL_TOL) -> bool:
+    """True when both robots map every shared index to an equal component."""
+    if len(r1) != len(r2):
+        return False
+    return all(
+        components_equal(a, b, tol) for a, b in zip(r1.components, r2.components)
+    )

@@ -20,7 +20,6 @@ from cgacollide.collision import (
     ball_capsule_collide,
     balls_collide,
     capsules_collide,
-    components_equal,
     robot_union_fold,
     robots_collide,
 )
@@ -28,18 +27,19 @@ from cgacollide.distance import (
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
-    segment_pair_coefficients,
-    stationary_point,
 )
 from cgacollide.objects import point
 from oracle import (
     GridSpec,
+    components_equal,
     euclid_reference_distance2,
     grid_upper_slack,
     oracle_point_segment,
     oracle_segment_segment,
     reference_point_segment_distance2,
     reference_segment_distance2,
+    segment_pair_coefficients,
+    stationary_point,
 )
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import (

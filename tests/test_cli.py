@@ -41,6 +41,16 @@ class TestCheck:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["check", "dist"])
+    def test_huge_coordinate_exits_two(self, tmp_path, subcommand, capsys):
+        # two coincident balls at 1e155 once gave a NaN distance and exit 0
+        huge = tmp_path / "huge.scene"
+        huge.write_text("robot a\nball 1e155 0 0 1\nrobot b\nball 1e155 0 0 1\n")
+        assert main([subcommand, "--format", "json", str(huge)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 2: coordinates beyond")
+
+    @pytest.mark.parametrize("subcommand", ["check", "dist"])
     def test_non_utf8_scene_exits_two(self, tmp_path, subcommand, capsys):
         bad = tmp_path / "utf16.scene"
         bad.write_bytes(b"\xff\xfe")

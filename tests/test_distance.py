@@ -13,9 +13,6 @@ from cgacollide.distance import (
     center_dist_fb,
     center_dist_fc,
     fc,
-    segment_pair_coefficients,
-    segment_pair_quadratic,
-    stationary_point,
 )
 from oracle import (
     GridSpec,
@@ -26,9 +23,12 @@ from oracle import (
     oracle_segment_segment,
     reference_point_segment_distance2,
     reference_segment_distance2,
+    segment_pair_coefficients,
+    segment_pair_quadratic,
+    stationary_point,
 )
 from cgacollide.objects import point
-from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment
+from cgacollide.primitives import DEGENERACY_EPS2, MAX_MM, Capsule, ClosedBall, Segment
 
 
 def random_segment(rng, scale=1e3):
@@ -461,6 +461,33 @@ class TestClampAndRecompute:
         assert total >= 100_000
         assert differ == []
         assert min(branches.values()) >= 100, branches
+
+
+class TestMagnitudeBound:
+    """Every coordinate and radius within MAX_MM gives finite kernel results,
+    and fc stays within a few dozen eps * |p|^2 (the global-frame error) of
+    the exact minimum."""
+
+    def test_kernels_stay_finite_at_the_bound(self):
+        rng = np.random.default_rng(93)
+        corners = np.array([-MAX_MM, MAX_MM])
+        for _ in range(2000):
+            pts = [rng.choice(corners, 3) if rng.random() < 0.5
+                   else rng.uniform(-MAX_MM, MAX_MM, 3) for _ in range(4)]
+            a1, b1, a2, b2 = pts
+            if rng.random() < 0.25:  # parallel, or degenerate for the factor 0
+                b2 = np.clip(a2 + rng.choice([-1.0, 0.0, 0.5]) * (b1 - a1), -MAX_MM, MAX_MM)
+            seg1, seg2 = Segment(a1, b1), Segment(a2, b2)
+            results = (center_dist_fb(a1, seg2), center_dist_fc(seg1, seg2))
+            assert math.isfinite(center_dist_fa(a1, b2))
+            for r in results:
+                assert all(map(math.isfinite, (r.squared_distance, r.s1, r.s2, *r.q1, *r.q2)))
+            exact = exact_segment_distance2(a1, b1, a2, b2)
+            assert abs(results[1].squared_distance - exact) <= 1e-14 * MAX_MM * MAX_MM
+            pair = robots_collide(RobotModel("a", (Capsule(seg1, MAX_MM), ClosedBall(a1, MAX_MM))),
+                                  RobotModel("b", (Capsule(seg2, MAX_MM), ClosedBall(b2, 0.0))))
+            assert all(math.isfinite(p.squared_distance) and math.isfinite(p.threshold)
+                       for p in pair.pairs)
 
 
 class TestShortSegments:

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from cgacollide.cga import BLADE_COUNT, null_inf, null_zero, scalar_part, inner
+from cgacollide.cga import null_inf, null_zero, scalar_part, inner
 from cgacollide.objects import (
-    ConformalObject,
-    as_coords,
     circle_ipns,
     circle_opns,
     line_ipns,
@@ -15,6 +13,7 @@ from cgacollide.objects import (
     sphere,
     sphere_opns,
 )
+from cgacollide.primitives import MAX_MM
 
 
 def coeffs_dict(mv):
@@ -43,6 +42,13 @@ class TestPoint:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             point((1, 2))
+
+    def test_rejects_coordinates_beyond_bound(self):
+        # 1e200 squared overflows to inf in the e_inf coefficient
+        for build in (point, lambda p: sphere(p, 1.0)):
+            with pytest.raises(ValueError, match="beyond"):
+                build((1e200, 0, 0))
+        assert point((MAX_MM, 0, -MAX_MM)).coeffs[16] == MAX_MM * MAX_MM
 
     def test_injective_up_to_coefficient_gap(self):
         rng = np.random.default_rng(7)
@@ -107,6 +113,16 @@ class TestPlane:
         with pytest.raises(ValueError):
             plane((1, 1, 0), 0.0)
 
+    def test_offset_follows_the_scalar_rule(self):
+        for d in (np.nan, np.inf, -np.inf, -1e51):
+            with pytest.raises(ValueError, match="plane offset must be finite and within"):
+                plane((0, 0, 1), d)
+        for d in ("3", b"3", None, [1.0], 1 + 0j, np.complex128(3 + 0j)):
+            with pytest.raises(ValueError, match="expected a plane offset"):
+                plane((0, 0, 1), d)
+        for d in (3, np.float32(-2.5), MAX_MM):
+            assert coeffs_dict(plane((0, 0, 1), d)) == {4: 1.0, 16: float(d)}
+
     def test_signed_distance_identity(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
@@ -157,16 +173,3 @@ class TestOuterConstructions:
     def test_line_ipns_orthogonal_basis_planes(self):
         got = line_ipns(plane((1, 0, 0), 0.0), plane((0, 1, 0), 0.0))
         assert coeffs_dict(got) == {3: 1.0}
-
-
-class TestHelpers:
-    def test_as_coords_roundtrip(self):
-        arr = as_coords([1.5, -2.0, 3.25])
-        assert arr.dtype == np.float64
-        assert arr.shape == (3,)
-
-    def test_conformal_object_carrier(self):
-        obj = ConformalObject("sphere", "ipns", sphere((0, 0, 0), 1.0))
-        assert obj.kind == "sphere"
-        assert obj.form == "ipns"
-        assert obj.rep.coeffs.shape == (BLADE_COUNT,)

@@ -5,9 +5,10 @@ import pytest
 
 from cgacollide.cga import inner, scalar_part
 from cgacollide.collision import balls_collide
-from cgacollide.objects import as_coords, point, sphere
+from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
     DEGENERACY_EPS2,
+    MAX_MM,
     Capsule,
     ClosedBall,
     Segment,
@@ -21,22 +22,22 @@ from cgacollide.primitives import (
 
 def numpy_rule(p) -> np.ndarray:
     """The coordinate rule stated with numpy: shape (3,) as float64, all finite.
-    The one exception: numpy drops a complex entry's imaginary part with a
-    ComplexWarning, and the rule makes that an error."""
+    Two exceptions: numpy drops a complex entry's imaginary part with a
+    ComplexWarning, and the rule makes that an error; and the rule rejects an
+    entry beyond MAX_MM, where the kernels would overflow."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         try:
             arr = np.array(p, dtype=np.float64)
         except np.exceptions.ComplexWarning:
             raise TypeError(p) from None
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+    if arr.shape != (3,) or not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > MAX_MM):
         raise ValueError(p)
     return arr
 
 
-# Every way in: the array rule, the triple rule, and each constructor in each slot.
+# Every way in: the triple rule, and each constructor in each slot.
 BUILDERS = {
-    "as_coords": as_coords,
     "as_triple": as_triple,
     "ball": lambda p: ClosedBall(p, 1.0).center,
     "segment-start": lambda p: Segment(p, (0, 0, 0)).start,
@@ -60,6 +61,8 @@ REJECTED = {
     "complex128": [np.complex128(1 + 2j), 0, 0],
     "complex64": [0, np.complex64(1 + 2j), 0],
     "complex-zero-imag": [0, 0, np.complex128(3 + 0j)],
+    "beyond-bound": [0.0, -1e51, 0.0],
+    "float-max": [np.finfo(np.float64).max, 0.0, 0.0],
 }
 
 # numpy's complex scalars, which float() truncates with only a ComplexWarning
@@ -72,6 +75,7 @@ ACCEPTED = {
     "int-array": np.array([-7, 0, 2**40]),
     "mixed-scalars": (np.float64(-0.0), True, "7.5"),
     "range": range(3),
+    "at-bound": (MAX_MM, -MAX_MM, 0),
 }
 
 
@@ -156,9 +160,9 @@ class TestSegment:
         seg = Segment((0, 0, 65), (0, 0, 130))
         assert np.allclose(segment_point_at(seg, 0.5), (0, 0, 97.5))
 
-    @pytest.mark.parametrize("t", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("t", [-0.1, 1.1, 2.0, np.nan, None, 1 + 0j, "0.5", b"1"])
     def test_parameter_out_of_range(self, t):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # a TypeError would escape this
             segment_point_at(Segment((0, 0, 0), (1, 0, 0)), t)
 
     def test_degenerate_segment_is_single_point(self):
@@ -267,15 +271,21 @@ class TestCoordinateRule:
             got = build(p)
             assert [repr(float(x)) for x in got] == want, name
 
-    def test_arrays_are_read_only_copies_of_the_triples(self):
-        seg = Segment((1.5, -2.0, 0.25), (4.0, 5.0, -6.0))
+    def test_triples_are_stored_float_tuples(self):
+        seg = Segment((1.5, -2.0, 0.25), (4, 5, -6))
         ball = ClosedBall((7.0, -0.0, 1e-8), 2.0)
         for xyz in (ball.center, seg.start, seg.end):
-            arr = as_coords(xyz)
-            assert arr.dtype == np.float64 and arr.shape == (3,)
-            assert not arr.flags.writeable
-            assert tuple(arr.tolist()) == xyz and all(arr == xyz)
+            assert type(xyz) is tuple and len(xyz) == 3
+            assert all(type(v) is float for v in xyz)
+        assert seg.end == (4.0, 5.0, -6.0)
         assert ball.center is ball.center  # stored, not rebuilt per access
+
+    def test_radius_bound(self):
+        assert ClosedBall((0, 0, 0), MAX_MM).radius == MAX_MM
+        for build in (lambda r: ClosedBall((0, 0, 0), r),
+                      lambda r: Capsule(Segment((0, 0, 0), (1, 0, 0)), r)):
+            with pytest.raises(ValueError, match="beyond"):
+                build(1e51)
 
     def test_input_array_writes_do_not_reach_the_primitive(self):
         src = np.array([1.0, 2.0, 3.0])

@@ -1,10 +1,12 @@
 import hashlib
+import os
 import re
 
 import numpy as np
 import pytest
 
-from cgacollide.collision import RobotModel, robots_equal
+import cgacollide.scene as scene_module
+from cgacollide.collision import RobotModel
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import (
     Scene,
@@ -15,6 +17,7 @@ from cgacollide.scene import (
     parse_scene,
     serialize_scene,
 )
+from oracle import robots_equal
 
 
 def scenes_equal(a: Scene, b: Scene) -> bool:
@@ -66,6 +69,14 @@ class TestParse:
         with pytest.raises(SceneError, match="non-finite") as exc:
             parse_scene("robot r\nball 0 0 0 inf\n")
         assert exc.value.line == 2
+
+    def test_huge_finite_number_rejected(self):
+        # a coincident pair at 1e155 would square to inf and read as clear
+        for text in ("robot r\nball 1e155 0 0 1\n", "robot r\nball 0 0 0 1e155\n",
+                     "robot r\ncapsule 0 0 0 0 -1e155 0 1\n"):
+            with pytest.raises(SceneError, match="beyond") as exc:
+                parse_scene(text)
+            assert exc.value.line == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(SceneError, match="takes 7 numbers"):
@@ -219,6 +230,13 @@ class TestBundles:
     def test_unknown_bundle(self):
         with pytest.raises(FileNotFoundError):
             bundled_scene_path("missing.scene")
+
+    @pytest.mark.parametrize("name", ["../cli.py", "../data/table3.scene", "data/table3.scene",
+                                      "..", ".", "", pytest.param(os.path.abspath(scene_module.__file__),
+                                                                  id="absolute-module-path")])
+    def test_only_plain_names_in_data(self, name):
+        with pytest.raises(FileNotFoundError):
+            bundled_scene_path(name)
 
     def test_separated_scene_is_translation(self):
         base = load_table3()
