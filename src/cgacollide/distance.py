@@ -11,10 +11,11 @@ fc(a1, b1, a2, b2)  squared distance between two segments
 fa is the paper's |p - q|^2 = -2 * point(p)|point(q) in closed form,
 P|Q = (p.q - 0.5*|q|^2) - 0.5*|p|^2, summed in the order of the 32-blade
 contraction, so the two agree bit for bit; fb and fc apply fa to witness
-points.  The kernels trust their float triples: coordinates are validated
-where they enter (primitives, scene parsing, center_dist_fa/fb/fc).
-ClosestPair returns the witnesses q1, q2 as float triples as well, so
-nothing here loads numpy.
+points, and compute u, v, w and a-e below inline in the written order (dot
+products sum x + y + z).  The kernels trust their float triples:
+coordinates are validated where they enter (primitives, scene parsing,
+center_dist_fa/fb/fc).  ClosestPair's witnesses q1, q2 are float triples
+as well, so nothing here loads numpy.
 
 The point-segment case split:
 
@@ -25,7 +26,7 @@ The point-segment case split:
 
 The segment-segment quadratic over (s1, s2) in [0, 1]^2 uses
 
-    u = ec1 - sc1, v = ec2 - sc2, w = sc1 - sc2
+    u = b1 - a1, v = b2 - a2, w = a1 - a2
     a = u.u, b = -(u.v), c = v.v, d = u.w, e = -(v.w), f = w.w
     Q(s1, s2) = a*s1^2 + c*s2^2 + 2*b*s1*s2 + 2*d*s1 + 2*e*s2 + f
 
@@ -34,14 +35,15 @@ whose unconstrained stationary point is
     s1k = (b*e - c*d) / (a*c - b^2)
     s2k = (b*d - a*e) / (a*c - b^2)
 
-valid when a*c - b^2 != 0 (non-parallel segments).  Q is convex, so when
-the stationary point falls outside the unit square, clamp and recompute
-(Ericson, Real-Time Collision Detection, 2005, 5.1.9) finds the boundary
-minimum: clamp s1k to [0, 1], solve s2 from that end of segment 1, and
-only if s2 clamps, re-solve s1 from the clamped end of segment 2.
-(Near-)parallel segments keep the best of the four clamped edges: started
-at s1 = 0 they would miss a minimum at s1 = 1 (links whose gap closes at
-their far ends).
+valid unless |a*c - b^2| <= PARALLEL_EPS*a*c.  The test is relative, so
+short segments are not taken for parallel (a, c >= DEGENERACY_EPS2 there,
+so a*c cannot underflow to zero).  Q is convex, so when the stationary
+point falls outside the unit square, clamp and recompute (Ericson,
+Real-Time Collision Detection, 2005, 5.1.9) finds the boundary minimum:
+clamp s1k to [0, 1], solve s2 from that end of segment 1, and only if s2
+clamps, re-solve s1 from the clamped end of segment 2.  (Near-)parallel
+segments keep the best of the four clamped edges: started at s1 = 0 they
+would miss a minimum at s1 = 1 (links whose gap closes at their far ends).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .primitives import DEGENERACY_EPS2, Segment, Vec, _dot, _sub, as_triple
+from .primitives import DEGENERACY_EPS2, Segment, Vec, as_triple
 
 # Relative threshold on a*c - b^2 below which segments count as parallel.
 PARALLEL_EPS = 1e-10
@@ -89,51 +91,40 @@ def fa(p: Vec, q: Vec) -> float:
 
 def fb(p: Vec, a: Vec, b: Vec) -> tuple[float, float, Vec]:
     """(squared distance, parameter s, closest point) from p to a -> b."""
-    u = _sub(b, a)
-    denom = _dot(u, u)
-    t = 0.0 if denom < DEGENERACY_EPS2 else _dot(_sub(p, a), u)
+    (ax, ay, az), (bx, by, bz), (px, py, pz) = a, b, p
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    denom = ux * ux + uy * uy + uz * uz
+    t = 0.0 if denom < DEGENERACY_EPS2 else (px - ax) * ux + (py - ay) * uy + (pz - az) * uz
     if t <= 0.0:
         s, q = 0.0, a
     elif denom <= t:
         s, q = 1.0, b
     else:
         s = t / denom
-        q = (a[0] + s * u[0], a[1] + s * u[1], a[2] + s * u[2])
+        q = (ax + s * ux, ay + s * uy, az + s * uz)
     return fa(p, q), s, q
-
-
-def _coefficients(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple:
-    u, v, w = _sub(b1, a1), _sub(b2, a2), _sub(a1, a2)
-    return u, v, w, _dot(u, u), -_dot(u, v), _dot(v, v), _dot(u, w), -_dot(v, w), _dot(w, w)
-
-
-def _stationary(a: float, b: float, c: float, d: float, e: float) -> tuple:
-    """(s1k, s2k, exists).  The parallel test is relative, so short segments
-    are not taken for parallel; fc calls it with a, c >= DEGENERACY_EPS2,
-    where a*c cannot underflow to zero."""
-    det = a * c - b * b
-    if abs(det) <= PARALLEL_EPS * a * c:
-        return 0.0, 0.0, False
-    return (b * e - c * d) / det, (b * d - a * e) / det, True
 
 
 def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Vec]:
     """(squared distance, s1, s2, q1, q2) between a1 -> b1 and a2 -> b2."""
-    u, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
+    (x1, y1, z1), (x2, y2, z2) = a1, a2
+    ux, uy, uz = b1[0] - x1, b1[1] - y1, b1[2] - z1
+    vx, vy, vz = b2[0] - x2, b2[1] - y2, b2[2] - z2
+    a = ux * ux + uy * uy + uz * uz
     if a < DEGENERACY_EPS2:
         sq, s2, q2 = fb(a1, a2, b2)
         return sq, 0.0, s2, a1, q2
+    c = vx * vx + vy * vy + vz * vz
     if c < DEGENERACY_EPS2:
         sq, s1, q1 = fb(a2, a1, b1)
         return sq, s1, 0.0, q1, a2
 
-    s1, s2, exists = _stationary(a, b, c, d, e)
-    if exists and 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0:
-        q1 = (a1[0] + s1 * u[0], a1[1] + s1 * u[1], a1[2] + s1 * u[2])
-        q2 = (a2[0] + s2 * v[0], a2[1] + s2 * v[1], a2[2] + s2 * v[2])
-        return fa(q1, q2), s1, s2, q1, q2
-
-    if not exists:
+    wx, wy, wz = x1 - x2, y1 - y2, z1 - z2
+    b = -(ux * vx + uy * vy + uz * vz)
+    d = ux * wx + uy * wy + uz * wz
+    e = -(vx * wx + vy * wy + vz * wz)
+    det = a * c - b * b
+    if abs(det) <= PARALLEL_EPS * a * c:
         # Clamp each edge of the unit square in turn.  Tuples compare by
         # (squared distance, s1, s2), so ties break toward the smallest
         # (s1, s2) and parallel overlaps give one answer; equal keys share
@@ -146,6 +137,12 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
             sq, s1, q = fb(p, a1, b1)
             edges.append((sq, s1, s2, q, p))
         return min(edges)
+
+    s1, s2 = (b * e - c * d) / det, (b * d - a * e) / det
+    if 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0:
+        q1 = (x1 + s1 * ux, y1 + s1 * uy, z1 + s1 * uz)
+        q2 = (x2 + s2 * vx, y2 + s2 * vy, z2 + s2 * vz)
+        return fa(q1, q2), s1, s2, q1, q2
 
     # Clamp and recompute: one fb call, or two when s2 clamps too.
     if not 0.0 <= s1 <= 1.0:

@@ -76,7 +76,10 @@ def parse_scene(text: str) -> Scene:
         except ValueError as exc:
             raise SceneError(str(exc), current_line) from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # End lines only where a text-mode read does; splitlines() also ends them at \f, U+2028 etc.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -18,8 +18,9 @@ Two independent witnesses for the production distance kernels:
   clamp-and-recompute kernel to it bit for bit.
 
 It also holds the test-only views of the package: the segment-pair
-quadratic and its stationary point over distance's private helpers, and
-tolerance-based component and robot equality.
+quadratic and its stationary point, over the helper form fc had before it
+computed them inline (_coefficients, _stationary), and tolerance-based
+component and robot equality.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from cgacollide.collision import Component, RobotModel, _centers
-from cgacollide.distance import _coefficients, _stationary, fa, fb
-from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment, Vec
+from cgacollide.distance import PARALLEL_EPS, fa, fb
+from cgacollide.primitives import DEGENERACY_EPS2, Capsule, Segment, Vec, _dot, _sub
 
 _POINT_EPS2 = 1e-12
 
@@ -209,9 +210,25 @@ def exact_segment_distance2(a1, b1, a2, b2) -> Fraction:
     return best
 
 
+def _coefficients(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple:
+    u, v, w = _sub(b1, a1), _sub(b2, a2), _sub(a1, a2)
+    return u, v, w, _dot(u, u), -_dot(u, v), _dot(v, v), _dot(u, w), -_dot(v, w), _dot(w, w)
+
+
+def _stationary(a: float, b: float, c: float, d: float, e: float) -> tuple:
+    """(s1k, s2k, exists).  The parallel test is relative, so short segments
+    are not taken for parallel; the fc forms call it with a, c >= DEGENERACY_EPS2,
+    where a*c cannot underflow to zero."""
+    det = a * c - b * b
+    if abs(det) <= PARALLEL_EPS * a * c:
+        return 0.0, 0.0, False
+    return (b * e - c * d) / det, (b * d - a * e) / det, True
+
+
 def four_edge_fc(a1, b1, a2, b2):
     """distance.fc as it was before clamp-and-recompute: on every boundary
-    case, the best of the four edges of the unit square."""
+    case, the best of the four edges of the unit square.  Its branch
+    decisions come from the helper form above, not from fc's inline code."""
     u, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
     if a < DEGENERACY_EPS2:
         sq, s2, q2 = fb(a1, a2, b2)

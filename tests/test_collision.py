@@ -338,7 +338,7 @@ class TestRobotsCollide:
 REMOVED_NAMES = (
     "components_equal", "robots_equal", "_EQUAL_TOL", "segment_pair_coefficients",
     "segment_pair_quadratic", "stationary_point", "SegmentPairCoefficients",
-    "StationaryPoint", "ConformalObject", "as_coords",
+    "StationaryPoint", "ConformalObject", "as_coords", "_coefficients", "_stationary",
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,15 +8,17 @@ from cgacollide.cga import inner, scalar_part
 from cgacollide.collision import RobotModel, capsules_collide, robots_collide
 from cgacollide.distance import (
     PARALLEL_EPS,
-    _coefficients,
-    _stationary,
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
+    fa,
+    fb,
     fc,
 )
 from oracle import (
     GridSpec,
+    _coefficients,
+    _stationary,
     exact_segment_distance2,
     four_edge_fc,
     grid_upper_slack,
@@ -461,6 +464,28 @@ class TestClampAndRecompute:
         assert total >= 100_000
         assert differ == []
         assert min(branches.values()) >= 100, branches
+
+
+class TestKernelPin:
+    """A sha256 over the repr of every field fa, fb and fc return, floats and
+    witness coordinates, on the fc families and on point-segment triples.
+    The digest was taken before fb and fc moved to unpacked floats, so it
+    pins that rewrite as bit-identical."""
+
+    DIGEST = "e3ef0126a0e5b20fae96054db35be0f7ccc2e8cb030ff4744dc85fb5af9c6f57"
+
+    def test_every_returned_field_is_pinned(self):
+        rng = np.random.default_rng(95)
+        h = hashlib.sha256()
+        for quads in segment_pair_families(rng).values():
+            for a1, b1, a2, b2 in quads:
+                got = (fa(a1, b2), fb(a1, a2, b2), fb(b2, a1, b1), fc(a1, b1, a2, b2))
+                h.update(repr(got).encode())
+        for scale in (1.0, 1e3, 1e5):
+            triples = rng.uniform(-scale, scale, (20000, 3, 3)).tolist()
+            for p, a, b in triples:
+                h.update(repr(fb(tuple(p), tuple(a), tuple(b))).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestMagnitudeBound:

@@ -118,6 +118,35 @@ class TestParse:
         assert out.splitlines() == ["robot solo", "ball 1.0 2.0 3.0 4.0"]
 
 
+# Characters str.splitlines() breaks at that a text-mode read keeps inside a line.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=repr)
+    def test_comment_runs_to_the_real_line_end(self, sep):
+        scene = parse_scene(f"robot a\nball 0 0 0 1 # was{sep}ball 5 5 5 1\n")
+        assert len(scene.robots[0]) == 1
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=repr)
+    def test_error_lines_count_real_lines(self, sep):
+        with pytest.raises(SceneError, match="unknown record 'cylinder'") as exc:
+            parse_scene(f"robot a\n# c{sep}c\nball 0 0 0 1\ncylinder 1 2 3\n")
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"] + NOT_LINE_ENDS, ids=repr)
+    def test_parse_ends_lines_where_load_does(self, sep, tmp_path):
+        text = f"robot a{sep}ball 0 0 0 1 # c{sep}ball 5 5 5 1\nrobot a\n"
+        path = tmp_path / "s.scene"
+        path.write_bytes(text.encode("utf-8"))
+        errors = []
+        for parse in (lambda: parse_scene(text), lambda: load_scene(path)):
+            with pytest.raises(SceneError) as exc:
+                parse()
+            errors.append((str(exc.value), exc.value.line))
+        assert errors[0] == errors[1]
+
+
 class TestRoundTrip:
     def test_table3_round_trips(self):
         scene = load_table3()
