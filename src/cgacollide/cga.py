@@ -35,6 +35,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .primitives import _scalar
+
 DIMENSION = 5
 BLADE_COUNT = 1 << DIMENSION  # 32
 GRADE = np.array([mask.bit_count() for mask in range(BLADE_COUNT)])
@@ -137,12 +139,14 @@ class Multivector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=np.float64)
+        arr = np.asarray(coeffs)
         if arr.shape != (BLADE_COUNT,):
             raise ValueError(f"expected {BLADE_COUNT} blade coefficients, got shape {arr.shape}")
+        if arr.dtype.kind not in "biuf":  # as for a radius: text, None, complex are errors
+            arr = np.array([_scalar(c, "a real coefficient") for c in arr.tolist()])
+        arr = arr.astype(np.float64)  # a copy: the caller keeps its own array
         if not np.all(np.isfinite(arr)):
             raise ValueError("multivector coefficients must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -215,7 +219,7 @@ class Multivector:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        return hash((self.coeffs + 0.0).tobytes())  # -0.0 + 0.0 is 0.0: equal means equal hash
 
     def __repr__(self):
         terms = []

@@ -1,9 +1,11 @@
 """Command-line front-end: collision check, distance matrix, self test.
 
-Exit codes are script-friendly: 0 means no collision (or all self-test
-checks passed), 1 means collision (or a failed check), 2 means a usage or
-input error, so `cgacollide check scene && deploy` refuses to proceed on
-contact.
+Options and their defaults live only in the argparse parser, and output goes
+to stdout; `selftest` checks the paper's identities with the shipped
+operators.  Exit codes are script-friendly: 0 means no collision (or all
+self-test checks passed), 1 means collision (or a failed check), 2 means a
+usage or input error, so `cgacollide check scene && deploy` refuses to
+proceed on contact.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .collision import (
     CollisionReport,
@@ -27,19 +28,11 @@ from .primitives import Capsule, ClosedBall, Segment, capsule_degenerate_as_ball
 from .scene import Scene, SceneError, load_scene
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    scene_path: str | None = None
-    output_format: str = "text"
-    report_all_pairs: bool = True
-
-
-def _load(cfg: CliConfig, counts: tuple[int, ...], need: str) -> Scene | None:
+def _load(args: argparse.Namespace, counts: tuple[int, ...], need: str) -> Scene | None:
     """The scene, if it holds an allowed number of robots; else print the
     input error and return None."""
     try:
-        scene = load_scene(cfg.scene_path)
+        scene = load_scene(args.scene)
         if len(scene.robots) not in counts:
             raise SceneError(f"{need}, got {len(scene.robots)}")
         return scene
@@ -48,26 +41,25 @@ def _load(cfg: CliConfig, counts: tuple[int, ...], need: str) -> Scene | None:
         return None
 
 
-def _write(cfg: CliConfig, out, payload, lines) -> None:
+def _write(args: argparse.Namespace, payload, lines) -> None:
     """Print payload() as JSON or lines() as text, each led by the scene path."""
-    out = out if out is not None else sys.stdout
-    if cfg.output_format == "json":
-        print(json.dumps({"scene": cfg.scene_path, **payload()}), file=out)
+    if args.format == "json":
+        print(json.dumps({"scene": args.scene, **payload()}))
     else:
-        for line in (f"scene: {cfg.scene_path}", *lines()):
-            print(line, file=out)
+        for line in (f"scene: {args.scene}", *lines()):
+            print(line)
 
 
-def run_check(cfg: CliConfig, out=None) -> int:
+def run_check(args: argparse.Namespace) -> int:
     """Collision check between the two robots of a scene.
 
     Returns 1 on collision, 0 on no collision, 2 on input error.
     """
-    scene = _load(cfg, (2,), "collision check needs exactly 2 robots")
+    scene = _load(args, (2,), "collision check needs exactly 2 robots")
     if scene is None:
         return 2
     r1, r2 = scene.robots
-    if cfg.report_all_pairs:
+    if args.all_pairs:
         report = robots_collide(r1, r2)
     else:
         pairs = iter_pair_checks(r1, r2)
@@ -75,7 +67,7 @@ def run_check(cfg: CliConfig, out=None) -> int:
         report = CollisionReport(hit is not None, () if hit is None else (hit,))
 
     _write(
-        cfg, out,
+        args,
         lambda: {
             "verdict": report.verdict,
             "pairs": [p._asdict() for p in report.pairs],  # PairCheck fields are the schema
@@ -93,13 +85,13 @@ def run_check(cfg: CliConfig, out=None) -> int:
     return 1 if report.verdict else 0
 
 
-def run_dist(cfg: CliConfig, out=None) -> int:
+def run_dist(args: argparse.Namespace) -> int:
     """Pairwise squared/plain distance matrix between component centers.
 
     With two robots the matrix crosses them; with a single robot it is the
     robot against itself.
     """
-    scene = _load(cfg, (1, 2), "distance matrix needs 1 or 2 robots")
+    scene = _load(args, (1, 2), "distance matrix needs 1 or 2 robots")
     if scene is None:
         return 2
     r1, r2 = scene.robots[0], scene.robots[-1]  # one robot is crossed with itself
@@ -109,7 +101,7 @@ def run_dist(cfg: CliConfig, out=None) -> int:
         for p in iter_pair_checks(r1, r2)
     ]
     _write(
-        cfg, out,
+        args,
         lambda: {"robots": [r1.name, r2.name], "pairs": rows},
         lambda: [
             f"robots: {r1.name} vs {r2.name}",
@@ -120,38 +112,26 @@ def run_dist(cfg: CliConfig, out=None) -> int:
     return 0
 
 
-def selftest_checks(signature=None) -> list[tuple[str, bool]]:
-    """Run the embedded identity suite; returns (name, passed) pairs.
-
-    A non-default diagonal signature can be injected to prove the suite
-    actually detects a corrupted metric.  Only this command loads numpy.
-    """
+def selftest_checks() -> list[tuple[str, bool]]:
+    """Run the embedded identity suite through the shipped Multivector
+    operators; returns (name, passed) pairs.  Only this command loads numpy."""
     import numpy as np
 
-    from .cga import SIGNATURE, null_inf, null_zero, tables_for
+    from .cga import null_inf, null_zero
     from .objects import point
 
-    tables = tables_for(SIGNATURE if signature is None else tuple(signature))
-
-    def scalar_of(kind, x, y) -> float:
-        """Scalar part of a table product: the sum of the entries landing on it."""
-        left, right, out, weight = tables[kind]
-        keep = out == 0
-        return float(np.sum(x[left[keep]] * y[right[keep]] * weight[keep]))
-
-    e0 = null_zero().coeffs
-    einf = null_inf().coeffs
+    e0, einf = null_zero(), null_inf()
     checks: list[tuple[str, bool]] = []
-    checks.append(("null-zero-squares-to-zero", scalar_of("geometric", e0, e0) == 0.0))
-    checks.append(("null-inf-squares-to-zero", scalar_of("geometric", einf, einf) == 0.0))
-    checks.append(("null-contraction-is-minus-one", scalar_of("inner", e0, einf) == -1.0))
+    checks.append(("null-zero-squares-to-zero", (e0 * e0).scalar == 0.0))
+    checks.append(("null-inf-squares-to-zero", (einf * einf).scalar == 0.0))
+    checks.append(("null-contraction-is-minus-one", (e0 | einf).scalar == -1.0))
 
     rng = np.random.default_rng(20240917)
     ok = True
     for _ in range(200):
         p = rng.uniform(-1e4, 1e4, 3)
         q = rng.uniform(-1e4, 1e4, 3)
-        got = 2.0 * abs(scalar_of("inner", point(p).coeffs, point(q).coeffs))
+        got = 2.0 * abs((point(p) | point(q)).scalar)
         want = float((p - q) @ (p - q))
         if abs(got - want) > 1e-9 * max(1.0, want):
             ok = False
@@ -180,14 +160,13 @@ def selftest_checks(signature=None) -> list[tuple[str, bool]]:
     return checks
 
 
-def run_selftest(out=None, signature=None) -> int:
+def run_selftest() -> int:
     """Print each identity check; exit 0 only if every one passes."""
-    out = out if out is not None else sys.stdout
-    checks = selftest_checks(signature)
+    checks = selftest_checks()
     for name, passed in checks:
-        print(f"{'ok  ' if passed else 'FAIL'} {name}", file=out)
+        print(f"{'ok  ' if passed else 'FAIL'} {name}")
     failed = sum(1 for _, passed in checks if not passed)
-    print(f"{len(checks) - failed}/{len(checks)} checks passed", file=out)
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -196,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cgacollide",
         description="Collision checking for robots modeled as balls and capsules.",
     )
-    # what a subcommand does not define reads as its default
-    parser.set_defaults(scene=None, format="text", all_pairs=True)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_scene_args(p):
@@ -221,11 +198,10 @@ _parser = functools.cache(build_parser)  # built once: argparse setup costs more
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = CliConfig(args.subcommand, args.scene, args.format, args.all_pairs)
-    if cfg.subcommand == "check":
-        return run_check(cfg)
-    if cfg.subcommand == "dist":
-        return run_dist(cfg)
+    if args.subcommand == "check":
+        return run_check(args)
+    if args.subcommand == "dist":
+        return run_dist(args)
     return run_selftest()
 
 

@@ -148,9 +148,9 @@ def segment_point_at(seg: Segment, t: float) -> Vec:
 
 def ball_contains(ball: ClosedBall, x) -> bool:
     """True iff x lies in the closed ball (boundary included)."""
-    from .distance import center_dist_fa
+    from .distance import fa
 
-    return center_dist_fa(x, ball.center) <= ball.radius * ball.radius
+    return fa(as_triple(x), ball.center) <= ball.radius * ball.radius
 
 
 def capsule_contains(capsule: Capsule, x) -> bool:

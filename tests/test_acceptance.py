@@ -8,13 +8,13 @@ import io
 import json
 import math
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 import pytest
 
 from cgacollide.cga import geometric, inner, null_inf, null_zero, scalar_part
-from cgacollide.cli import CliConfig, main, run_check
+from cgacollide.cli import main
 from cgacollide.collision import (
     RobotModel,
     ball_capsule_collide,
@@ -72,7 +72,8 @@ def test_criterion_1_two_robot_scenario():
 
         scene = load_table3()
         t0 = time.perf_counter()
-        code = run_check(CliConfig("check", scene_path), out=io.StringIO())
+        with redirect_stdout(io.StringIO()):
+            code = main(["check", scene_path])
         elapsed = time.perf_counter() - t0
         assert code == 1
         assert elapsed < 0.1, f"check took {elapsed:.3f}s"
@@ -354,7 +355,8 @@ def test_criterion_9_negative_control():
         assert main(["check", separated]) == 0
 
         buf = io.StringIO()
-        code = run_check(CliConfig("check", separated, output_format="json"), out=buf)
+        with redirect_stdout(buf):
+            code = main(["check", "--format", "json", separated])
         payload = json.loads(buf.getvalue())
         assert code == 0
         assert payload["verdict"] is False

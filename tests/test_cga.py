@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,42 @@ class TestBasis:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             Multivector(bad)
+
+    @pytest.mark.parametrize("bad", [
+        ["1"] * BLADE_COUNT,
+        [b"1"] * BLADE_COUNT,
+        [None] * BLADE_COUNT,
+        [1 + 2j] * BLADE_COUNT,
+        np.full(BLADE_COUNT, 1 + 2j),
+        [np.complex128(1.0)] + [0.0] * (BLADE_COUNT - 1),
+        [np.str_("1")] + [0] * (BLADE_COUNT - 1),
+        [None] + [0.0] * (BLADE_COUNT - 1),
+        np.array(["1"] * BLADE_COUNT, dtype=object),
+    ], ids=["str", "bytes", "none", "complex", "np-complex", "np-complex-entry",
+            "np-str-entry", "one-none", "object-str"])
+    def test_non_real_coefficients_rejected(self, bad):
+        # numpy would read text as numbers, drop an imaginary part, call None "not finite"
+        with pytest.raises(ValueError, match="real coefficient"):
+            Multivector(bad)
+
+    @pytest.mark.parametrize("good", [
+        [1] * BLADE_COUNT,
+        [True] * BLADE_COUNT,
+        [Fraction(1, 2)] * BLADE_COUNT,
+        np.ones(BLADE_COUNT, dtype=np.float32),
+        np.ones(BLADE_COUNT, dtype=np.int8),
+    ], ids=["int", "bool", "fraction", "float32", "int8"])
+    def test_real_coefficients_accepted(self, good):
+        mv = Multivector(good)
+        assert mv.coeffs.dtype == np.float64
+        assert mv.coeffs[0] == float(good[0])
+
+    def test_signed_zeros_hash_equal(self):
+        neg = np.zeros(BLADE_COUNT)
+        neg[[0, 5, 31]] = -0.0
+        assert zero() == -zero() == Multivector(neg)
+        assert hash(zero()) == hash(-zero()) == hash(Multivector(neg))
+        assert len({zero(), -zero(), Multivector(neg)}) == 1
 
     def test_immutable(self):
         mv = mbasis({1})

@@ -1,5 +1,5 @@
+import functools
 import hashlib
-import io
 import json
 import re
 import shutil
@@ -8,15 +8,8 @@ import sys
 
 import pytest
 
-from cgacollide.cli import (
-    CliConfig,
-    build_parser,
-    main,
-    run_check,
-    run_dist,
-    run_selftest,
-    selftest_checks,
-)
+from cgacollide import cga
+from cgacollide.cli import build_parser, main, selftest_checks
 from cgacollide.scene import bundled_scene_path
 
 TABLE3 = bundled_scene_path("table3.scene")
@@ -24,20 +17,20 @@ SEPARATED = bundled_scene_path("separated.scene")
 
 
 class TestCheck:
-    def test_collision_scene_exits_one(self):
-        assert run_check(CliConfig("check", TABLE3), out=io.StringIO()) == 1
+    def test_collision_scene_exits_one(self, capsys):
+        assert main(["check", TABLE3]) == 1
 
-    def test_clear_scene_exits_zero(self):
-        assert run_check(CliConfig("check", SEPARATED), out=io.StringIO()) == 0
+    def test_clear_scene_exits_zero(self, capsys):
+        assert main(["check", SEPARATED]) == 0
 
     def test_missing_file_exits_two(self, capsys):
-        assert run_check(CliConfig("check", "no-such.scene"), out=io.StringIO()) == 2
+        assert main(["check", "no-such.scene"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scene"
         bad.write_text("robot r\ncapsule 0 0 0 0 0 65 -1\n")
-        assert run_check(CliConfig("check", str(bad)), out=io.StringIO()) == 2
+        assert main(["check", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["check", "dist"])
@@ -62,21 +55,19 @@ class TestCheck:
     def test_wrong_robot_count_exits_two(self, tmp_path, capsys):
         one = tmp_path / "one.scene"
         one.write_text("robot r\nball 0 0 0 1\n")
-        assert run_check(CliConfig("check", str(one)), out=io.StringIO()) == 2
+        assert main(["check", str(one)]) == 2
         capsys.readouterr()
 
-    def test_text_report_names_pairs(self):
-        buf = io.StringIO()
-        run_check(CliConfig("check", TABLE3), out=buf)
-        text = buf.getvalue()
+    def test_text_report_names_pairs(self, capsys):
+        main(["check", TABLE3])
+        text = capsys.readouterr().out
         assert "pair i=6 j=5" in text
         assert "verdict: collision" in text
         assert text.count("pair i=") == 49
 
-    def test_json_report_schema(self):
-        buf = io.StringIO()
-        code = run_check(CliConfig("check", TABLE3, output_format="json"), out=buf)
-        payload = json.loads(buf.getvalue())
+    def test_json_report_schema(self, capsys):
+        code = main(["check", "--format", "json", TABLE3])
+        payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["verdict"] is True
         assert payload["scene"] == TABLE3
@@ -87,43 +78,38 @@ class TestCheck:
         assert hit["threshold"] == 961.0
         assert abs(hit["squared_distance"]) <= 1e-9
 
-    def test_text_and_json_report_same_numbers(self):
-        jbuf = io.StringIO()
-        run_check(CliConfig("check", TABLE3, output_format="json"), out=jbuf)
-        payload = json.loads(jbuf.getvalue())
-        tbuf = io.StringIO()
-        run_check(CliConfig("check", TABLE3), out=tbuf)
+    def test_text_and_json_report_same_numbers(self, capsys):
+        main(["check", "--format", "json", TABLE3])
+        payload = json.loads(capsys.readouterr().out)
+        main(["check", TABLE3])
+        text = capsys.readouterr().out
         pat = re.compile(
             r"pair i=(\d+) j=(\d+)\s+squared=([\d.eE+-]+)\s+threshold=([\d.eE+-]+)"
         )
         text_rows = {
             (int(m[1]), int(m[2])): (float(m[3]), float(m[4]))
-            for m in pat.finditer(tbuf.getvalue())
+            for m in pat.finditer(text)
         }
         for p in payload["pairs"]:
             sq, thr = text_rows[(p["i"], p["j"])]
             assert abs(sq - p["squared_distance"]) <= 1e-6 * max(1.0, p["squared_distance"])
             assert thr == p["threshold"]
 
-    def test_first_hit_mode_reports_single_pair(self):
-        buf = io.StringIO()
-        code = run_check(
-            CliConfig("check", TABLE3, report_all_pairs=False), out=buf
-        )
+    def test_first_hit_mode_reports_single_pair(self, capsys):
+        code = main(["check", "--no-all-pairs", TABLE3])
         assert code == 1
-        assert buf.getvalue().count("pair i=") == 1
+        assert capsys.readouterr().out.count("pair i=") == 1
 
-    def test_exit_codes_stable_across_formats(self):
+    def test_exit_codes_stable_across_formats(self, capsys):
         for fmt in ("text", "json"):
-            assert run_check(CliConfig("check", TABLE3, output_format=fmt), out=io.StringIO()) == 1
-            assert run_check(CliConfig("check", SEPARATED, output_format=fmt), out=io.StringIO()) == 0
+            assert main(["check", "--format", fmt, TABLE3]) == 1
+            assert main(["check", "--format", fmt, SEPARATED]) == 0
 
 
 class TestDist:
-    def test_known_entries(self):
-        buf = io.StringIO()
-        assert run_dist(CliConfig("dist", TABLE3, output_format="json"), out=buf) == 0
-        payload = json.loads(buf.getvalue())
+    def test_known_entries(self, capsys):
+        assert main(["dist", "--format", "json", TABLE3]) == 0
+        payload = json.loads(capsys.readouterr().out)
         rows = {(p["i"], p["j"]): p for p in payload["pairs"]}
         assert rows[(6, 6)]["squared_distance"] == 3600.0
         assert rows[(6, 6)]["distance"] == 60.0
@@ -131,40 +117,41 @@ class TestDist:
         assert rows[(0, 0)]["squared_distance"] == 14400.0
         assert rows[(0, 0)]["distance"] == 120.0
 
-    def test_single_robot_self_matrix(self, tmp_path):
+    def test_single_robot_self_matrix(self, tmp_path, capsys):
         solo = tmp_path / "solo.scene"
         solo.write_text("robot r\nball 0 0 0 1\nball 3 4 0 1\n")
-        buf = io.StringIO()
-        assert run_dist(CliConfig("dist", str(solo), output_format="json"), out=buf) == 0
-        payload = json.loads(buf.getvalue())
+        assert main(["dist", "--format", "json", str(solo)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         rows = {(p["i"], p["j"]): p for p in payload["pairs"]}
         assert rows[(0, 1)]["distance"] == 5.0
         assert rows[(1, 1)]["distance"] == 0.0
 
-    def test_missing_file(self):
-        assert run_dist(CliConfig("dist", "nope.scene"), out=io.StringIO()) == 2
+    def test_missing_file(self, capsys):
+        assert main(["dist", "nope.scene"]) == 2
 
 
 class TestSelftest:
-    def test_fresh_build_passes(self):
-        buf = io.StringIO()
-        assert run_selftest(out=buf) == 0
-        lines = buf.getvalue().splitlines()
+    @pytest.fixture
+    def all_positive_metric(self, monkeypatch):
+        """The shipped Multivector products, built on signature (+,+,+,+,+)."""
+        monkeypatch.setattr(cga, "tables_for", functools.partial(cga.tables_for, (1.0,) * 5))
+
+    def test_fresh_build_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         named = [ln for ln in lines if ln.startswith("ok")]
         assert len(named) >= 6
 
-    def test_reports_distance_identity_check(self):
-        buf = io.StringIO()
-        run_selftest(out=buf)
-        assert "distance-identity" in buf.getvalue()
+    def test_reports_distance_identity_check(self, capsys):
+        main(["selftest"])
+        assert "distance-identity" in capsys.readouterr().out
 
-    def test_corrupted_metric_detected(self):
-        buf = io.StringIO()
-        assert run_selftest(out=buf, signature=(1, 1, 1, 1, 1)) == 1
-        assert "FAIL" in buf.getvalue()
+    def test_corrupted_metric_detected(self, all_positive_metric, capsys):
+        assert main(["selftest"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
-    def test_corrupted_metric_check_list(self):
-        checks = dict(selftest_checks(signature=(1, 1, 1, 1, 1)))
+    def test_corrupted_metric_check_list(self, all_positive_metric):
+        checks = dict(selftest_checks())
         assert checks["null-contraction-is-minus-one"] is False
         assert checks["distance-identity"] is False
 

@@ -339,11 +339,13 @@ REMOVED_NAMES = (
     "components_equal", "robots_equal", "_EQUAL_TOL", "segment_pair_coefficients",
     "segment_pair_quadratic", "stationary_point", "SegmentPairCoefficients",
     "StationaryPoint", "ConformalObject", "as_coords", "_coefficients", "_stationary",
+    "CliConfig",
 )
 
 
 @pytest.mark.parametrize("module", ["cgacollide", "cgacollide.distance",
-                                    "cgacollide.collision", "cgacollide.objects"])
+                                    "cgacollide.collision", "cgacollide.objects",
+                                    "cgacollide.cli"])
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)
     assert [name for name in REMOVED_NAMES if hasattr(mod, name)] == []
