@@ -13,7 +13,8 @@ orthogonal pair e+, e- with squares +1 and -1 by
 
 Only the geometric product is tabulated.  Its blade table is written in that
 diagonal frame (signature +,+,+,+,-) and carried to (e1, e2, e3, e0, einf) by
-one change of basis; the outer product and the left contraction are its
+one change of basis, which acts only on the top two bits of a blade mask
+(e0, einf <-> e+, e-); the outer product and the left contraction are its
 grade parts, A_r ^ B_s = <A_r B_s>_(r+s) and A_r | B_s = <A_r B_s>_(s-r).
 Working directly in the null frame keeps conformal-point coefficients at
 coordinate scale (a point stores 1 on e0 and 0.5*|p|^2 on einf), which is
@@ -44,12 +45,12 @@ GRADE = np.array([mask.bit_count() for mask in range(BLADE_COUNT)])
 # Diagonal metric of the auxiliary orthogonal frame (e1, e2, e3, e+, e-).
 SIGNATURE = (1.0, 1.0, 1.0, 1.0, -1.0)
 
-# Vector change of basis between the frames, one column per source vector.
-# Null frame order: (e1, e2, e3, e0, einf); diagonal order: (e1, e2, e3, e+, e-).
-# Only the (e0, einf) <-> (e+, e-) block differs from the identity.
-_NULL_TO_DIAG, _DIAG_TO_NULL = np.eye(DIMENSION), np.eye(DIMENSION)
-_NULL_TO_DIAG[3:, 3:] = [[-0.5, 1.0], [0.5, 1.0]]  # e0 = 0.5(e- - e+), einf = e- + e+
-_DIAG_TO_NULL[3:, 3:] = [[-1.0, 1.0], [0.5, 0.5]]  # e+ = 0.5einf - e0, e- = e0 + 0.5einf
+# Blade change of basis on the top two bits, one column per source blade, as
+# kron(block, I8): a mask is 8 * (top two bits) + its Euclidean bits, and E^N is
+# already in canonical order.  _TO_DIAG reads e0 = 0.5(e- - e+), einf = e- + e+,
+# e0^einf = -e+^e-; _TO_NULL reads e+ = 0.5einf - e0, e- = e0 + 0.5einf, e+^e- = -e0^einf.
+_TO_DIAG = np.kron([[1, 0, 0, 0], [0, -0.5, 1, 0], [0, 0.5, 1, 0], [0, 0, 0, -1]], np.eye(8))
+_TO_NULL = np.kron([[1, 0, 0, 0], [0, -1, 1, 0], [0, 0.5, 0.5, 0], [0, 0, 0, -1]], np.eye(8))
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -77,21 +78,6 @@ def _diag_product(signature) -> np.ndarray:
     return product
 
 
-def _blade_lift(vectors: np.ndarray, wedge: np.ndarray) -> np.ndarray:
-    """Extend a vector change of basis to all 32 blades (column per blade).
-
-    wedge is the (left blade, right vector, out blade) outer product, whose
-    weights are metric-free and so the same in either frame; each blade maps
-    to the wedge of its vectors' images, lowest bit first.
-    """
-    lift = np.zeros((BLADE_COUNT, BLADE_COUNT))
-    lift[0, 0] = 1.0
-    for src in range(1, BLADE_COUNT):
-        top = src.bit_length() - 1
-        lift[:, src] = np.einsum("a,b,abk->k", lift[:, src ^ (1 << top)], vectors[:, top], wedge)
-    return lift
-
-
 @lru_cache(maxsize=4)
 def tables_for(signature: tuple[float, ...] = SIGNATURE) -> MappingProxyType:
     """Sparse product tables over the null-frame blades, cached per signature.
@@ -102,12 +88,7 @@ def tables_for(signature: tuple[float, ...] = SIGNATURE) -> MappingProxyType:
     tables are exact.
     """
     diag = _diag_product(signature)
-    disjoint = (np.arange(BLADE_COUNT)[:, None] & np.arange(BLADE_COUNT)) == 0
-    wedge = np.where(disjoint[:, :, None], diag, 0.0)[:, [1 << b for b in range(DIMENSION)]]
-    to_diag = _blade_lift(_NULL_TO_DIAG, wedge)    # null blade -> diag coefficients
-    to_null = _blade_lift(_DIAG_TO_NULL, wedge)    # diag blade -> null coefficients
-    null = np.einsum("ai,bj,abk->ijk", to_diag, to_diag, diag @ to_null.T, optimize=True)
-
+    null = np.einsum("ai,bj,abk->ijk", _TO_DIAG, _TO_DIAG, diag @ _TO_NULL.T, optimize=True)
     left, right, out = np.nonzero(null)
     weight = null[left, right, out]
     parts = {
@@ -274,16 +255,6 @@ def null_zero() -> Multivector:
 def null_inf() -> Multivector:
     """Infinity null vector einf."""
     return mbasis({5})
-
-
-def e_plus() -> Multivector:
-    """Auxiliary vector e+ = 0.5*einf - e0; squares to +1."""
-    return 0.5 * null_inf() - null_zero()
-
-
-def e_minus() -> Multivector:
-    """Auxiliary vector e- = e0 + 0.5*einf; squares to -1."""
-    return null_zero() + 0.5 * null_inf()
 
 
 def outer(a: Multivector, b: Multivector) -> Multivector:

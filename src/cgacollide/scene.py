@@ -133,7 +133,7 @@ def serialize_scene(scene: Scene) -> str:
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

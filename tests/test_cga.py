@@ -11,8 +11,6 @@ from cgacollide.cga import (
     GRADE,
     SIGNATURE,
     Multivector,
-    e_minus,
-    e_plus,
     geometric,
     inner,
     mbasis,
@@ -36,6 +34,16 @@ def mv_from(entries: dict) -> Multivector:
 
 def grade1(values) -> Multivector:
     return mv_from(dict(zip((1, 2, 4, 8, 16), values)))
+
+
+def e_plus() -> Multivector:
+    """Auxiliary vector e+ = 0.5*einf - e0; squares to +1."""
+    return 0.5 * null_inf() - null_zero()
+
+
+def e_minus() -> Multivector:
+    """Auxiliary vector e- = e0 + 0.5*einf; squares to -1."""
+    return null_zero() + 0.5 * null_inf()
 
 
 class TestBasis:
@@ -129,6 +137,7 @@ class TestNullBasisRelations:
         assert np.allclose(half.coeffs, null_zero().coeffs, atol=1e-15)
         both = e_minus() + e_plus()
         assert np.allclose(both.coeffs, null_inf().coeffs, atol=1e-15)
+        assert null_zero() ^ null_inf() == -(e_plus() ^ e_minus())
 
     def test_auxiliary_signature(self):
         assert scalar_part(inner(e_plus(), e_plus())) == 1.0

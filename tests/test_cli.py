@@ -233,6 +233,15 @@ class TestSubprocessInvocation:
         assert proc.returncode == 1
         assert "verdict: collision" in proc.stdout
 
+    @pytest.mark.parametrize("path, code", [(TABLE3, 1), (SEPARATED, 0)],
+                             ids=["table3", "separated"])
+    def test_python_dash_m_cli_check(self, path, code, capsys):
+        # `python -m cgacollide.cli check` once printed nothing and exited 0 on contact
+        proc = subprocess.run([sys.executable, "-m", "cgacollide.cli", "check", path],
+                              capture_output=True, text=True)
+        assert main(["check", path]) == code
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
 
 class TestPinnedOutput:
     """Every byte `check` and `dist` write, and every exit code, stays fixed."""

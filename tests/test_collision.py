@@ -339,13 +339,13 @@ REMOVED_NAMES = (
     "components_equal", "robots_equal", "_EQUAL_TOL", "segment_pair_coefficients",
     "segment_pair_quadratic", "stationary_point", "SegmentPairCoefficients",
     "StationaryPoint", "ConformalObject", "as_coords", "_coefficients", "_stationary",
-    "CliConfig",
+    "CliConfig", "e_plus", "e_minus", "_blade_lift",
 )
 
 
 @pytest.mark.parametrize("module", ["cgacollide", "cgacollide.distance",
                                     "cgacollide.collision", "cgacollide.objects",
-                                    "cgacollide.cli"])
+                                    "cgacollide.cli", "cgacollide.cga"])
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)
     assert [name for name in REMOVED_NAMES if hasattr(mod, name)] == []

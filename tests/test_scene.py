@@ -146,6 +146,13 @@ class TestLineEnds:
             errors.append((str(exc.value), exc.value.line))
         assert errors[0] == errors[1]
 
+    def test_load_drops_utf8_bom(self, tmp_path):
+        # a BOM once read as part of the first record: "unknown record '\ufeffrobot'"
+        text = "robot a\nball 0 0 0 1\nrobot b\ncapsule 0 0 0 0 0 65 15\n"
+        path = tmp_path / "bom.scene"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert scenes_equal(load_scene(path), parse_scene(text))
+
 
 class TestRoundTrip:
     def test_table3_round_trips(self):
