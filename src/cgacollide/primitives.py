@@ -30,35 +30,33 @@ MAX_MM = 1e50
 Vec = tuple[float, float, float]
 
 
-def _real(v) -> float:
-    """float(v); a complex v is a TypeError, also where float() would truncate it."""
-    if not isinstance(v, (float, int, numbers.Real)) and isinstance(v, numbers.Complex):
-        raise TypeError
-    return float(v)
-
-
 def _scalar(v, what: str) -> float:
-    """float(v) for a real number v; text and complex numbers are a ValueError."""
+    """float(v) for a real number v; text and complex numbers are a ValueError,
+    also where float() would parse the text or truncate the complex number."""
     try:
-        if isinstance(v, (str, bytes, bytearray)):
+        if not isinstance(v, (float, int, numbers.Real)) and isinstance(
+            v, (str, bytes, bytearray, numbers.Complex)
+        ):
             raise TypeError
-        return _real(v)
+        return float(v)
     except (TypeError, ValueError):
         raise ValueError(f"expected {what}, got {v!r}") from None
 
 
 def as_triple(p) -> Vec:
     """p as three finite floats within MAX_MM; else ValueError.  Takes exactly
-    what np.array(p, dtype=float) reads as shape (3,), with two exceptions:
-    numpy drops the imaginary part of a complex entry, here it is an error;
-    and an entry beyond MAX_MM is an error.  Text, unordered containers and
-    arrays of another shape are not coordinates."""
+    what np.array(p, dtype=float) reads as shape (3,), with three exceptions,
+    each an error here: a complex entry, whose imaginary part numpy drops; a
+    text or bytes entry, which numpy parses (every entry follows _scalar's
+    rule); and an entry beyond MAX_MM.  Text, unordered containers and arrays
+    of another shape are not coordinates."""
     try:
         if isinstance(p, (str, bytes, set, frozenset, dict)) or getattr(p, "ndim", 1) != 1:
             raise TypeError
         x, y, z = p
         if not type(x) is type(y) is type(z) is float:  # the scene parser's floats skip this
-            x, y, z = _real(x), _real(y), _real(z)
+            what = "a coordinate"
+            x, y, z = _scalar(x, what), _scalar(y, what), _scalar(z, what)
     except (TypeError, ValueError):
         raise ValueError(f"expected 3 coordinates, got {p!r}") from None
     if not (-MAX_MM <= x <= MAX_MM and -MAX_MM <= y <= MAX_MM and -MAX_MM <= z <= MAX_MM):

@@ -6,9 +6,9 @@ as they complete.  Criteria with runtime budgets time the work in-process.
 
 import io
 import json
-import math
 import time
 from contextlib import contextmanager, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,14 +30,9 @@ from cgacollide.distance import (
 )
 from cgacollide.objects import point
 from oracle import (
-    GridSpec,
     components_equal,
-    euclid_reference_distance2,
-    grid_upper_slack,
-    oracle_point_segment,
-    oracle_segment_segment,
-    reference_point_segment_distance2,
-    reference_segment_distance2,
+    exact_component_distance2,
+    exact_distance2,
     segment_pair_coefficients,
     stationary_point,
 )
@@ -86,10 +81,10 @@ def test_criterion_1_two_robot_scenario():
         assert abs(hit.squared_distance) <= 1e-9
         assert hit.threshold == (16.0 + 15.0) ** 2 == 961.0
         for (i, j), p in by_pair.items():
-            ref = euclid_reference_distance2(
+            ref = exact_component_distance2(
                 scene.robots[0].components[i], scene.robots[1].components[j]
             )
-            assert abs(p.squared_distance - ref) <= 1e-9 * max(1.0, ref)
+            assert abs(Fraction(p.squared_distance) - ref) <= 1e-9 * max(1, ref)
 
 
 def test_criterion_2_distance_identity_bulk():
@@ -162,31 +157,20 @@ def _fc_instances(rng):
 
 
 def test_criterion_4_distance_kernels_vs_oracles():
-    with criterion(4, "point-segment and segment-segment kernels vs both oracles"):
+    with criterion(4, "point-segment and segment-segment kernels vs the exact oracle"):
         rng = np.random.default_rng(20240802)
         t0 = time.perf_counter()
 
-        grid_1d = GridSpec(2000)
         for p, seg in _fb_instances(rng):
-            got = center_dist_fb(p, seg).squared_distance
-            ref = reference_point_segment_distance2(p, seg)
-            assert abs(got - ref) <= 1e-9 * max(1.0, ref)
-            sampled = oracle_point_segment(p, seg, grid_1d)
-            slack = grid_upper_slack(math.sqrt(seg.length2), math.sqrt(got), grid_1d.resolution)
-            fuzz = 1e-9 * max(1.0, got)
-            assert got - fuzz <= sampled <= got + slack + fuzz
+            got = Fraction(center_dist_fb(p, seg).squared_distance)
+            exact = exact_distance2(p, p, seg.start, seg.end)
+            assert abs(got - exact) <= 1e-9 * max(1, min(got, exact))
 
-        grid_2d = GridSpec(200)
         pinned = 0
         for seg1, seg2 in _fc_instances(rng):
-            got = center_dist_fc(seg1, seg2).squared_distance
-            ref = reference_segment_distance2(seg1, seg2)
-            assert abs(got - ref) <= 1e-9 * max(1.0, ref)
-            sampled = oracle_segment_segment(seg1, seg2, grid_2d)
-            length = math.sqrt(seg1.length2) + math.sqrt(seg2.length2)
-            slack = grid_upper_slack(length, math.sqrt(got), grid_2d.resolution)
-            fuzz = 1e-9 * max(1.0, got)
-            assert got - fuzz <= sampled <= got + slack + fuzz
+            got = Fraction(center_dist_fc(seg1, seg2).squared_distance)
+            exact = exact_distance2(seg1.start, seg1.end, seg2.start, seg2.end)
+            assert abs(got - exact) <= 1e-9 * max(1, min(got, exact))
 
             co = segment_pair_coefficients(seg1, seg2)
             st = stationary_point(co)
@@ -239,17 +223,17 @@ def test_criterion_6_collision_predicates_vs_reference():
         for _ in range(1000):
             b1, b2 = rand_ball(), rand_ball()
             rsum = b1.radius + b2.radius
-            want = euclid_reference_distance2(b1, b2) <= rsum * rsum
+            want = exact_component_distance2(b1, b2) <= rsum * rsum
             assert balls_collide(b1, b2) == want
         for _ in range(1000):
             b, c = rand_ball(), rand_caps()
             rsum = b.radius + c.radius
-            want = euclid_reference_distance2(b, c) <= rsum * rsum
+            want = exact_component_distance2(b, c) <= rsum * rsum
             assert ball_capsule_collide(b, c) == want
         for _ in range(1000):
             c1, c2 = rand_caps(), rand_caps()
             rsum = c1.radius + c2.radius
-            want = euclid_reference_distance2(c1, c2) <= rsum * rsum
+            want = exact_component_distance2(c1, c2) <= rsum * rsum
             assert capsules_collide(c1, c2) == want
 
         # engineered tangencies: distance exactly equals the radius sum
@@ -307,7 +291,7 @@ def test_criterion_7_robot_model_laws():
             for a in r1.components:
                 for b in r2.components:
                     rsum = a.radius + b.radius
-                    if euclid_reference_distance2(a, b) <= rsum * rsum:
+                    if exact_component_distance2(a, b) <= rsum * rsum:
                         expect = True
             assert report.verdict == expect
             assert robots_collide(r2, r1).verdict == expect

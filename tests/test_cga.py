@@ -23,6 +23,7 @@ from cgacollide.cga import (
     zero,
 )
 from cgacollide.objects import point
+from oracle import exact_distance2
 
 
 def mv_from(entries: dict) -> Multivector:
@@ -236,8 +237,8 @@ class TestAlgebraicProperties:
             p = rng.uniform(-1e3, 1e3, 3)
             q = rng.uniform(-1e3, 1e3, 3)
             got = 2.0 * abs(scalar_part(inner(point(p), point(q))))
-            want = float((p - q) @ (p - q))
-            assert abs(got - want) <= 1e-9 * max(1.0, want)
+            want = exact_distance2(p, p, q, q)
+            assert abs(Fraction(got) - want) <= 1e-9 * max(1, want)
 
     def test_outer_extends_grade(self):
         a = mbasis({1, 2})

@@ -1,4 +1,5 @@
 import importlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cgacollide.collision import (
     robots_collide,
     robots_collide_any,
 )
-from oracle import components_equal, euclid_reference_distance2, robots_equal
+from oracle import components_equal, exact_component_distance2, robots_equal
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import load_table3
 
@@ -84,13 +85,13 @@ class TestPairPredicates:
         for _ in range(1000):
             a, b = random_component(rng), random_component(rng)
             colliding, sq, threshold = components_collide(a, b)
-            ref = euclid_reference_distance2(a, b)
+            ref = exact_component_distance2(a, b)
             rsum = a.radius + b.radius
             assert colliding == (sq <= threshold)
             assert threshold == rsum * rsum
-            assert abs(sq - ref) <= 1e-9 * max(1.0, ref)
+            assert abs(Fraction(sq) - ref) <= 1e-9 * max(1, ref)
             # agreement of the verdicts away from the tolerance band
-            if abs(ref - threshold) > 1e-6 * max(1.0, threshold):
+            if abs(ref - Fraction(threshold)) > 1e-6 * max(1.0, threshold):
                 assert colliding == (ref <= threshold)
 
     def test_engineered_tangency_reports_collision(self):
@@ -301,12 +302,12 @@ class TestRobotsCollide:
             r1 = random_robot(rng, "r1")
             r2 = random_robot(rng, "r2")
             report = robots_collide(r1, r2)
-            # independent reimplementation: reference distances, plain loops
+            # independent reimplementation: exact distances, plain loops
             expect = False
             for a in r1.components:
                 for b in r2.components:
                     rsum = a.radius + b.radius
-                    if euclid_reference_distance2(a, b) <= rsum * rsum:
+                    if exact_component_distance2(a, b) <= rsum * rsum:
                         expect = True
             assert report.verdict == expect
             assert robots_collide_any(r1, r2) == expect

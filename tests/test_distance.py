@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,16 +17,10 @@ from cgacollide.distance import (
     fc,
 )
 from oracle import (
-    GridSpec,
     _coefficients,
     _stationary,
-    exact_segment_distance2,
+    exact_distance2,
     four_edge_fc,
-    grid_upper_slack,
-    oracle_point_segment,
-    oracle_segment_segment,
-    reference_point_segment_distance2,
-    reference_segment_distance2,
     segment_pair_coefficients,
     segment_pair_quadratic,
     stationary_point,
@@ -72,8 +67,8 @@ class TestPointPoint:
         rng = np.random.default_rng(33)
         for _ in range(2000):
             p, q = rng.uniform(-1e4, 1e4, (2, 3))
-            want = float((p - q) @ (p - q))
-            assert abs(center_dist_fa(p, q) - want) <= 1e-9 * max(1.0, want)
+            want = exact_distance2(p, p, q, q)
+            assert abs(Fraction(center_dist_fa(p, q)) - want) <= 1e-9 * max(1, want)
 
 
 class TestPointSegment:
@@ -138,17 +133,12 @@ class TestPointSegment:
 
     def test_against_grid_oracle(self):
         rng = np.random.default_rng(44)
-        grid = GridSpec(2000)
         for _ in range(100):
             p = rng.uniform(-200, 200, 3)
             seg = random_segment(rng, scale=200)
             got = center_dist_fb(p, seg).squared_distance
-            sampled = oracle_point_segment(p, seg, grid)
-            slack = grid_upper_slack(
-                math.sqrt(seg.length2), math.sqrt(got), grid.resolution
-            )
-            fuzz = 1e-9 * max(1.0, got)
-            assert got - fuzz <= sampled <= got + slack + fuzz
+            exact = exact_distance2(p, p, seg.start, seg.end)
+            assert abs(Fraction(got) - exact) <= 1e-9 * max(1.0, got)
 
 
 class TestPairCoefficients:
@@ -337,21 +327,17 @@ class TestSegmentSegment:
         for _ in range(1000):
             seg1, seg2 = random_segment(rng), random_segment(rng)
             got = center_dist_fc(seg1, seg2).squared_distance
-            ref = reference_segment_distance2(seg1, seg2)
-            assert abs(got - ref) <= 1e-9 * max(1.0, ref)
+            ref = exact_distance2(seg1.start, seg1.end, seg2.start, seg2.end)
+            assert abs(Fraction(got) - ref) <= 1e-9 * max(1, ref)
 
     def test_against_grid_oracle(self):
         rng = np.random.default_rng(78)
-        grid = GridSpec(400)
         for _ in range(60):
             seg1 = random_segment(rng, scale=100)
             seg2 = random_segment(rng, scale=100)
             got = center_dist_fc(seg1, seg2).squared_distance
-            sampled = oracle_segment_segment(seg1, seg2, grid)
-            length = math.sqrt(seg1.length2) + math.sqrt(seg2.length2)
-            slack = grid_upper_slack(length, math.sqrt(got), grid.resolution)
-            fuzz = 1e-9 * max(1.0, got)
-            assert got - fuzz <= sampled <= got + slack + fuzz
+            exact = exact_distance2(seg1.start, seg1.end, seg2.start, seg2.end)
+            assert abs(Fraction(got) - exact) <= 1e-9 * max(1.0, got)
 
     def test_identical_segments_distance_zero(self):
         seg = Segment((1, 2, 3), (4, 5, 6))
@@ -380,7 +366,7 @@ class TestSegmentSegment:
     def test_near_parallel_minimum_at_an_end(self, ends):
         seg1, seg2 = Segment(*ends[:2]), Segment(*ends[2:])
         assert not stationary_point(segment_pair_coefficients(seg1, seg2)).exists
-        want = exact_segment_distance2(*ends)
+        want = exact_distance2(*ends)
         got = center_dist_fc(seg1, seg2).squared_distance
         assert abs(got - want) <= 1e-9 * want
 
@@ -507,7 +493,7 @@ class TestMagnitudeBound:
             assert math.isfinite(center_dist_fa(a1, b2))
             for r in results:
                 assert all(map(math.isfinite, (r.squared_distance, r.s1, r.s2, *r.q1, *r.q2)))
-            exact = exact_segment_distance2(a1, b1, a2, b2)
+            exact = exact_distance2(a1, b1, a2, b2)
             assert abs(results[1].squared_distance - exact) <= 1e-14 * MAX_MM * MAX_MM
             pair = robots_collide(RobotModel("a", (Capsule(seg1, MAX_MM), ClosedBall(a1, MAX_MM))),
                                   RobotModel("b", (Capsule(seg2, MAX_MM), ClosedBall(b2, 0.0))))

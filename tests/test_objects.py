@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cgacollide.objects import (
     sphere_opns,
 )
 from cgacollide.primitives import MAX_MM
+from oracle import exact_distance2
 
 
 def coeffs_dict(mv):
@@ -88,8 +91,8 @@ class TestSphere:
             c = rng.uniform(-500, 500, 3)
             r = float(rng.uniform(0, 200))
             got = scalar_part(inner(point(x), sphere(c, r)))
-            want = 0.5 * (r * r - float((x - c) @ (x - c)))
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            want = (Fraction(r) ** 2 - exact_distance2(x, x, c, c)) / 2
+            assert abs(Fraction(got) - want) <= 1e-9 * max(1, abs(want))
 
     def test_inside_outside_sign_law(self):
         rng = np.random.default_rng(13)
@@ -98,8 +101,8 @@ class TestSphere:
             c = rng.uniform(-50, 50, 3)
             r = float(rng.uniform(0, 60))
             sign_in = scalar_part(inner(point(x), sphere(c, r))) >= 0.0
-            euclid_in = float(np.linalg.norm(x - c)) <= r
-            assert sign_in == euclid_in
+            exact_in = exact_distance2(x, x, c, c) <= Fraction(r) ** 2
+            assert sign_in == exact_in
 
 
 class TestPlane:

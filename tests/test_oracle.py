@@ -1,100 +1,108 @@
-import math
+import ast
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
-import pytest
 
+import oracle
 from cgacollide.distance import center_dist_fa, center_dist_fb, center_dist_fc
-from oracle import (
-    GridSpec,
-    euclid_reference_distance2,
-    grid_upper_slack,
-    oracle_point_segment,
-    oracle_segment_segment,
-)
+from oracle import exact_component_distance2, exact_distance2
 from cgacollide.primitives import Capsule, ClosedBall, Segment
-
-
-class TestGridSpec:
-    def test_default_resolution(self):
-        assert GridSpec().resolution == 2000
-
-    @pytest.mark.parametrize("n", [0, 1, -3])
-    def test_too_coarse_rejected(self, n):
-        with pytest.raises(ValueError):
-            GridSpec(n)
+from cgacollide.scene import load_table3
 
 
 class TestPointSegmentOracle:
     def test_endpoint_minimum_is_exact(self):
-        # minimum at t=0, a grid node
-        got = oracle_point_segment((0, 0, 0), Segment((0, 0, 65), (0, 0, 130)))
-        assert got == 4225.0
+        p = (0, 0, 0)
+        assert exact_distance2(p, p, (0, 0, 65), (0, 0, 130)) == 4225
 
     def test_point_on_segment(self):
-        got = oracle_point_segment((0, 0, 5), Segment((0, 0, 0), (0, 0, 10)), GridSpec(10))
-        assert got == 0.0
+        p = (0, 0, 5)
+        assert exact_distance2(p, p, (0, 0, 0), (0, 0, 10)) == 0
 
     def test_brackets_production_kernel(self):
         rng = np.random.default_rng(101)
-        grid = GridSpec(1000)
         for _ in range(500):
             p = rng.uniform(-100, 100, 3)
             seg = Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3))
-            exact = center_dist_fb(p, seg).squared_distance
-            sampled = oracle_point_segment(p, seg, grid)
-            slack = grid_upper_slack(math.sqrt(seg.length2), math.sqrt(exact), grid.resolution)
-            fuzz = 1e-9 * max(1.0, exact)
-            assert exact - fuzz <= sampled <= exact + slack + fuzz
+            got = center_dist_fb(p, seg).squared_distance
+            exact = exact_distance2(p, p, seg.start, seg.end)
+            assert abs(Fraction(got) - exact) <= 1e-9 * max(1.0, got)
 
 
 class TestSegmentSegmentOracle:
     def test_parallel_gap_exact(self):
-        got = oracle_segment_segment(
-            Segment((0, 0, 0), (0, 0, 130)), Segment((0, 120, 0), (0, 120, 130)), GridSpec(50)
-        )
-        assert got == 14400.0
+        assert exact_distance2((0, 0, 0), (0, 0, 130), (0, 120, 0), (0, 120, 130)) == 14400
 
     def test_skew_example_hits_grid_node(self):
-        # minimum at (0, 0.5); node exists for even resolutions
-        got = oracle_segment_segment(
-            Segment((0, 0, 0), (1, 0, 0)), Segment((0, 1, 1), (0, -1, 1)), GridSpec(100)
-        )
-        assert abs(got - 1.0) <= 1e-12
+        # minimum at (s1, s2) = (0, 0.5), inside the unit square
+        assert exact_distance2((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, -1, 1)) == 1
 
     def test_identical_segments(self):
-        seg = Segment((1, 2, 3), (4, 5, 6))
-        assert oracle_segment_segment(seg, seg, GridSpec(60)) == 0.0
+        a, b = (1, 2, 3), (4, 5, 6)
+        assert exact_distance2(a, b, a, b) == 0
 
     def test_brackets_production_kernel(self):
         rng = np.random.default_rng(102)
-        grid = GridSpec(300)
         for _ in range(200):
             seg1 = Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3))
             seg2 = Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3))
-            exact = center_dist_fc(seg1, seg2).squared_distance
-            sampled = oracle_segment_segment(seg1, seg2, grid)
-            length = math.sqrt(seg1.length2) + math.sqrt(seg2.length2)
-            slack = grid_upper_slack(length, math.sqrt(exact), grid.resolution)
-            fuzz = 1e-9 * max(1.0, exact)
-            assert exact - fuzz <= sampled <= exact + slack + fuzz
+            got = center_dist_fc(seg1, seg2).squared_distance
+            exact = exact_distance2(seg1.start, seg1.end, seg2.start, seg2.end)
+            assert abs(Fraction(got) - exact) <= 1e-9 * max(1.0, got)
+
+
+class TestExactLaws:
+    """Laws that hold exactly, asserted with ==."""
+
+    @staticmethod
+    def quads(rng, n=300):
+        for _ in range(n):
+            pts = [tuple(rng.uniform(-1e3, 1e3, 3)) for _ in range(4)]
+            kind = rng.integers(0, 3)
+            if kind == 1:  # near-parallel
+                pts[3] = tuple(np.add(pts[2], np.subtract(pts[1], pts[0])))
+            elif kind == 2:  # a point against a segment
+                pts[1] = pts[0]
+            yield pts
+
+    def test_swapping_the_segments(self):
+        for a1, b1, a2, b2 in self.quads(np.random.default_rng(105)):
+            assert exact_distance2(a1, b1, a2, b2) == exact_distance2(a2, b2, a1, b1)
+
+    def test_reversing_either_segment(self):
+        for a1, b1, a2, b2 in self.quads(np.random.default_rng(106)):
+            want = exact_distance2(a1, b1, a2, b2)
+            assert exact_distance2(b1, a1, a2, b2) == want
+            assert exact_distance2(a1, b1, b2, a2) == want
+
+    def test_dyadic_translation(self):
+        # coordinates k/64 with |k| < 2**20, offset 3.5 * 2**10: every sum
+        # needs fewer than 53 bits, so the translated floats are exact
+        rng = np.random.default_rng(107)
+        offset = np.array([3584.0, -3584.0, 1792.0])
+        for _ in range(300):
+            pts = rng.integers(-2**20, 2**20, (4, 3)) / 64.0
+            moved = pts + offset
+            assert np.array_equal(moved - offset, pts)
+            assert exact_distance2(*pts) == exact_distance2(*moved)
 
 
 class TestCoordinateReference:
     def test_two_balls(self):
         a = ClosedBall((0, 0, 0), 1.0)
         b = ClosedBall((3, 4, 0), 2.0)
-        assert euclid_reference_distance2(a, b) == 25.0
+        assert exact_component_distance2(a, b) == 25
 
     def test_ball_against_capsule_axis_point(self):
-        # end-effector center on the second arm's forearm axis
-        a = ClosedBall((70, 90, 130), 16.0)
-        b = Capsule(Segment((70, 100, 130), (70, 30, 130)), 15.0)
-        assert euclid_reference_distance2(a, b) <= 1e-18
+        # table3's pair (6, 5): the end-effector center on the second arm's forearm axis
+        r1, r2 = load_table3().robots
+        assert exact_component_distance2(r1.components[6], r2.components[5]) == 0
 
     def test_parallel_base_links(self):
         a = Capsule(Segment((0, 0, 0), (0, 0, 65)), 15.0)
         b = Capsule(Segment((0, 120, 0), (0, 120, 65)), 15.0)
-        assert euclid_reference_distance2(a, b) == 14400.0
+        assert exact_component_distance2(a, b) == 14400
 
     def test_mixed_pair_order_symmetric(self):
         rng = np.random.default_rng(103)
@@ -104,7 +112,7 @@ class TestCoordinateReference:
                 Segment(rng.uniform(-50, 50, 3), rng.uniform(-50, 50, 3)),
                 float(rng.uniform(0, 10)),
             )
-            assert euclid_reference_distance2(ball, caps) == euclid_reference_distance2(caps, ball)
+            assert exact_component_distance2(ball, caps) == exact_component_distance2(caps, ball)
 
     def test_agrees_with_conformal_path(self):
         rng = np.random.default_rng(104)
@@ -119,7 +127,7 @@ class TestCoordinateReference:
 
         for _ in range(100_000):
             a, b = random_component(), random_component()
-            ref = euclid_reference_distance2(a, b)
+            ref = exact_component_distance2(a, b)
             if isinstance(a, ClosedBall) and isinstance(b, ClosedBall):
                 got = center_dist_fa(a.center, b.center)
             elif isinstance(a, ClosedBall):
@@ -128,4 +136,21 @@ class TestCoordinateReference:
                 got = center_dist_fb(b.center, a.axis).squared_distance
             else:
                 got = center_dist_fc(a.axis, b.axis).squared_distance
-            assert abs(got - ref) <= 1e-9 * max(1.0, ref)
+            assert abs(Fraction(got) - ref) <= 1e-9 * max(1, ref)
+
+
+# Names of the grid, float and Fraction references exact_distance2 replaced
+REMOVED_ORACLE_NAMES = (
+    "GridSpec", "grid_upper_slack", "oracle_point_segment", "oracle_segment_segment",
+    "euclid_reference_distance2", "reference_segment_distance2",
+    "reference_point_segment_distance2", "exact_segment_distance2",
+)
+
+
+def test_removed_oracles_stay_removed():
+    names = [n for n in vars(oracle) if n in REMOVED_ORACLE_NAMES or n.startswith("_ref_")]
+    assert names == []
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from cgacollide.primitives import (
 
 def numpy_rule(p) -> np.ndarray:
     """The coordinate rule stated with numpy: shape (3,) as float64, all finite.
-    Two exceptions: numpy drops a complex entry's imaginary part with a
-    ComplexWarning, and the rule makes that an error; and the rule rejects an
+    Three exceptions: numpy drops a complex entry's imaginary part with a
+    ComplexWarning, and the rule makes that an error; numpy parses a text or
+    bytes entry, and the rule makes that an error; and the rule rejects an
     entry beyond MAX_MM, where the kernels would overflow."""
+    if any(isinstance(v, (str, bytes)) for v in np.array(p, dtype=object).ravel()):
+        raise TypeError(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         try:
@@ -54,6 +58,9 @@ REJECTED = {
     "none": None,
     "abc": "abc",
     "digit-string": "123",
+    "text-entries": ["1", "2", "3"],
+    "bytes-entry": (b"1", 2, 3),
+    "text-array": np.array(["1", "2", "3"]),
     "set": {1.0, 2.0, 3.0},
     "nan": [0.0, np.nan, 0.0],
     "+inf": [np.inf, 0.0, 0.0],
@@ -73,7 +80,7 @@ ACCEPTED = {
     "list": [1.5, -2.0, 3.25],
     "float32-array": np.array([0.1, -0.0, 1e30], dtype=np.float32),
     "int-array": np.array([-7, 0, 2**40]),
-    "mixed-scalars": (np.float64(-0.0), True, "7.5"),
+    "mixed-scalars": (np.float64(-0.0), True, Fraction(15, 2)),
     "range": range(3),
     "at-bound": (MAX_MM, -MAX_MM, 0),
 }
