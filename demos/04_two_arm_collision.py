@@ -7,8 +7,6 @@ report lists the evidence for every pair.
 Run:  python3 demos/04_two_arm_collision.py
 """
 
-import numpy as np
-
 from cgacollide import (
     Capsule,
     ClosedBall,
@@ -40,14 +38,16 @@ print(f"\nend effector vs forearm: squared distance {hit.squared_distance:g}")
 # Negative control: translate the second robot 10 meters away in y and
 # every pair separates.
 # ----------------------------------------------------------------------
-shift = np.array([0.0, 10000.0, 0.0])
+def shifted(p):
+    x, y, z = p
+    return (x, y + 10000.0, z)
 
 
 def translated(component):
     if isinstance(component, ClosedBall):
-        return ClosedBall(component.center + shift, component.radius)
+        return ClosedBall(shifted(component.center), component.radius)
     return Capsule(
-        Segment(component.axis.start + shift, component.axis.end + shift),
+        Segment(shifted(component.axis.start), shifted(component.axis.end)),
         component.radius,
     )
 

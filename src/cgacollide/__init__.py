@@ -17,13 +17,27 @@ Input is checked once, where it enters: primitives.as_triple (coordinates)
 and primitives.as_radius (radius >= 0) back every primitive and accept
 only real numbers within MAX_MM of zero, so no kernel overflows; scene
 parsing checks syntax only.  A coordinate has one form, the float triple:
-primitives hold it and the kernels return it, so the collision check runs
-without numpy; the algebra (cga, objects) loads on first use.  Only the
-pipeline and the paper's models ship; test-only helpers do not.
+primitives hold it and the kernels return it, and a multivector holds a
+tuple of 32 floats, so the package needs nothing beyond the standard
+library.  Only the pipeline and the paper's models ship; test-only helpers
+do not.
 """
 
-import importlib
-
+from .cga import (
+    BLADE_COUNT,
+    DIMENSION,
+    SIGNATURE,
+    Multivector,
+    geometric,
+    inner,
+    mbasis,
+    null_inf,
+    null_zero,
+    outer,
+    scalar,
+    scalar_part,
+    zero,
+)
 from .collision import (
     CollisionReport,
     Component,
@@ -44,6 +58,17 @@ from .distance import (
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
+)
+from .objects import (
+    circle_ipns,
+    circle_opns,
+    line_ipns,
+    line_opns,
+    plane,
+    plane_opns,
+    point,
+    sphere,
+    sphere_opns,
 )
 from .primitives import (
     DEGENERACY_EPS2,
@@ -66,22 +91,3 @@ from .scene import (
 )
 
 __version__ = "0.1.0"
-
-# The algebra modules and their exported names -> module; they load numpy.
-_LAZY = {name: module for module, names in (
-    ("cga", "cga BLADE_COUNT DIMENSION SIGNATURE Multivector geometric inner mbasis"
-            " null_inf null_zero outer scalar scalar_part zero"),
-    ("objects", "objects circle_ipns circle_opns line_ipns line_opns plane plane_opns"
-                " point sphere sphere_opns"),
-) for name in names.split()}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
-    return module if name == _LAZY[name] else getattr(module, name)
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})

@@ -1,6 +1,6 @@
 """Dense multivector arithmetic for the 5-dimensional conformal algebra.
 
-A multivector is a flat array of 32 coefficients, one per basis blade,
+A multivector is a tuple of 32 float coefficients, one per basis blade,
 indexed by bitmask over the ordered basis (e1, e2, e3, e0, einf): bit k
 holds basis vector k+1, so e1 -> mask 1, e2 -> mask 2, e3 -> mask 4,
 e0 -> mask 8, einf -> mask 16.
@@ -25,32 +25,33 @@ for coordinates of 1e4 mm; storing points over e+/e- instead would cancel
 On grade-1 inputs the left contraction reduces to the metric dot product,
 which distance.py evaluates in closed form on coordinates; Multivector
 serves the conformal objects, the demos and the CLI self test, and
-tables_for() builds its product tables on first use.
+tables_for() builds its product tables on first use, in plain Python.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+import operator
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable
-
-import numpy as np
 
 from .primitives import _scalar
 
 DIMENSION = 5
 BLADE_COUNT = 1 << DIMENSION  # 32
-GRADE = np.array([mask.bit_count() for mask in range(BLADE_COUNT)])
+GRADE = tuple(mask.bit_count() for mask in range(BLADE_COUNT))
 
 # Diagonal metric of the auxiliary orthogonal frame (e1, e2, e3, e+, e-).
 SIGNATURE = (1.0, 1.0, 1.0, 1.0, -1.0)
 
-# Blade change of basis on the top two bits, one column per source blade, as
-# kron(block, I8): a mask is 8 * (top two bits) + its Euclidean bits, and E^N is
-# already in canonical order.  _TO_DIAG reads e0 = 0.5(e- - e+), einf = e- + e+,
-# e0^einf = -e+^e-; _TO_NULL reads e+ = 0.5einf - e0, e- = e0 + 0.5einf, e+^e- = -e0^einf.
-_TO_DIAG = np.kron([[1, 0, 0, 0], [0, -0.5, 1, 0], [0, 0.5, 1, 0], [0, 0, 0, -1]], np.eye(8))
-_TO_NULL = np.kron([[1, 0, 0, 0], [0, -1, 1, 0], [0, 0.5, 0.5, 0], [0, 0, 0, -1]], np.eye(8))
+# Blade change of basis on the top two bits, one column per source blade: a
+# mask is 8 * (top two bits) + its Euclidean bits, which the change keeps, and
+# E^N is already in canonical order.  _TO_DIAG reads e0 = 0.5(e- - e+),
+# einf = e- + e+, e0^einf = -e+^e-; _TO_NULL reads e+ = 0.5einf - e0,
+# e- = e0 + 0.5einf, e+^e- = -e0^einf.
+_TO_DIAG = ((1, 0, 0, 0), (0, -0.5, 1, 0), (0, 0.5, 1, 0), (0, 0, 0, -1))
+_TO_NULL = ((1, 0, 0, 0), (0, -1, 1, 0), (0, 0.5, 0.5, 0), (0, 0, 0, -1))
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -63,50 +64,55 @@ def _reorder_sign(a: int, b: int) -> int:
     return -1 if total & 1 else 1
 
 
-def _diag_product(signature) -> np.ndarray:
-    """Geometric product of diagonal-frame blades as a dense (left, right,
-    out) tensor: e_i e_j is the reorder sign times the squares of the shared
-    vectors, on blade i ^ j."""
-    product = np.zeros((BLADE_COUNT,) * 3)
-    for i in range(BLADE_COUNT):
-        for j in range(BLADE_COUNT):
-            weight = float(_reorder_sign(i, j))
-            for bit in range(DIMENSION):
-                if i & j & (1 << bit):
-                    weight *= signature[bit]
-            product[i, j, i ^ j] = weight
-    return product
+def _columns(block) -> list[list[tuple[int, float]]]:
+    """Every blade, by mask, in the other frame, as (mask, weight) pairs."""
+    return [[(8 * row + mask % 8, r[mask // 8]) for row, r in enumerate(block) if r[mask // 8]]
+            for mask in range(BLADE_COUNT)]
 
 
-@lru_cache(maxsize=4)
-def tables_for(signature: tuple[float, ...] = SIGNATURE) -> MappingProxyType:
-    """Sparse product tables over the null-frame blades, cached per signature.
+def _diag_product(a: int, b: int) -> float:
+    """Weight of diagonal-frame blades e_a e_b on blade a ^ b: the reorder sign
+    times the squares of the shared vectors."""
+    weight = float(_reorder_sign(a, b))
+    for bit in range(DIMENSION):
+        if a & b & (1 << bit):
+            weight *= SIGNATURE[bit]
+    return weight
 
-    Maps "geometric", "outer", "inner" each to aligned (left_idx, right_idx,
-    out_idx, weight) arrays ordered by (left_idx, right_idx, out_idx),
-    read-only as all callers share them.  Built on dyadic rationals, the
-    tables are exact.
+
+@cache
+def tables_for() -> MappingProxyType:
+    """Product tables over the null-frame blades, built once from SIGNATURE.
+
+    Maps "geometric", "outer", "inner" each to one row per left blade, a
+    tuple of (right, out, weight) terms in (right, out) order.  Built on
+    dyadic rationals, the tables are exact.
     """
-    diag = _diag_product(signature)
-    null = np.einsum("ai,bj,abk->ijk", _TO_DIAG, _TO_DIAG, diag @ _TO_NULL.T, optimize=True)
-    left, right, out = np.nonzero(null)
-    weight = null[left, right, out]
-    parts = {
-        "geometric": slice(None),
-        "outer": GRADE[out] == GRADE[left] + GRADE[right],
-        "inner": GRADE[out] == GRADE[right] - GRADE[left],
-    }
-    tables = {}
-    for kind, keep in parts.items():
-        tables[kind] = tuple(arr[keep] for arr in (left, right, out, weight))
-        for arr in tables[kind]:
-            arr.flags.writeable = False
-    return MappingProxyType(tables)
+    to_diag, to_null = _columns(_TO_DIAG), _columns(_TO_NULL)
+    tables = {"geometric": [], "outer": [], "inner": []}
+    for i in range(BLADE_COUNT):
+        row = []
+        for j in range(BLADE_COUNT):
+            terms = {}
+            for a, wa in to_diag[i]:
+                for b, wb in to_diag[j]:
+                    weight = wa * wb * _diag_product(a, b)
+                    for k, wk in to_null[a ^ b]:
+                        terms[k] = terms.get(k, 0.0) + weight * wk
+            row += [(j, k, w) for k, w in sorted(terms.items()) if w]
+        tables["geometric"].append(tuple(row))
+        tables["outer"].append(tuple(t for t in row if GRADE[t[1]] == GRADE[i] + GRADE[t[0]]))
+        tables["inner"].append(tuple(t for t in row if GRADE[t[1]] == GRADE[t[0]] - GRADE[i]))
+    return MappingProxyType({kind: tuple(rows) for kind, rows in tables.items()})
 
 
-def _product(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    left, right, out, weight = tables_for()[kind]
-    return np.bincount(out, weights=a[left] * b[right] * weight, minlength=BLADE_COUNT)
+def _product(a: tuple, b: tuple, kind: str) -> list:
+    out = [0.0] * BLADE_COUNT
+    for x, row in zip(a, tables_for()[kind]):
+        if x:  # a zero row only adds zeros, which leave every sum as it is
+            for right, k, w in row:
+                out[k] += x * b[right] * w
+    return out
 
 
 class Multivector:
@@ -120,22 +126,25 @@ class Multivector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs)
-        if arr.shape != (BLADE_COUNT,):
-            raise ValueError(f"expected {BLADE_COUNT} blade coefficients, got shape {arr.shape}")
-        if arr.dtype.kind not in "biuf":  # as for a radius: text, None, complex are errors
-            arr = np.array([_scalar(c, "a real coefficient") for c in arr.tolist()])
-        arr = arr.astype(np.float64)  # a copy: the caller keeps its own array
-        if not np.all(np.isfinite(arr)):
+        """coeffs: 32 finite real numbers in blade order.  Text, unordered
+        containers and arrays of another shape are not coefficients, and
+        every entry follows _scalar's rule, as a radius does."""
+        try:
+            if (isinstance(coeffs, (str, bytes, set, frozenset, dict))
+                    or getattr(coeffs, "ndim", 1) != 1 or len(coeffs) != BLADE_COUNT):
+                raise TypeError
+        except TypeError:  # len() of a generator, too
+            raise ValueError(f"expected {BLADE_COUNT} blade coefficients, got {coeffs!r}") from None
+        values = tuple(_scalar(c, "a real coefficient") for c in coeffs)
+        if not all(map(math.isfinite, values)):
             raise ValueError("multivector coefficients must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", values)
 
     @classmethod
-    def _raw(cls, arr: np.ndarray) -> "Multivector":
+    def _raw(cls, values) -> "Multivector":
+        """Trusted coefficients, any iterable of 32 floats, stored as a tuple."""
         mv = object.__new__(cls)
-        arr.flags.writeable = False
-        object.__setattr__(mv, "coeffs", arr)
+        object.__setattr__(mv, "coeffs", tuple(values))
         return mv
 
     def __setattr__(self, name, value):
@@ -144,29 +153,27 @@ class Multivector:
     # --- linear structure ------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(self.coeffs + other.coeffs)
+            return Multivector._raw(map(operator.add, self.coeffs, other.coeffs))
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(self.coeffs - other.coeffs)
+            return Multivector._raw(map(operator.sub, self.coeffs, other.coeffs))
         return NotImplemented
 
     def __neg__(self):
-        return Multivector._raw(-self.coeffs)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector._raw(float(other) * self.coeffs)
-        return NotImplemented
+        return Multivector._raw(map(operator.neg, self.coeffs))
 
     # --- products ----------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return Multivector._raw(_product(self.coeffs, other.coeffs, "geometric"))
         if isinstance(other, (int, float)):
-            return Multivector._raw(self.coeffs * float(other))
+            s = float(other)
+            return Multivector._raw(x * s for x in self.coeffs)
         return NotImplemented
+
+    __rmul__ = __mul__  # a scalar on the left: x * s == s * x in floats
 
     def __xor__(self, other):
         if isinstance(other, Multivector):
@@ -181,54 +188,44 @@ class Multivector:
     # --- structure -----------------------------------------------------------
     def grade(self, k: int) -> "Multivector":
         """Project onto the grade-k part."""
-        out = np.where(GRADE == k, self.coeffs, 0.0)
-        return Multivector._raw(out)
+        return Multivector._raw(x if g == k else 0.0 for x, g in zip(self.coeffs, GRADE))
 
     @property
     def scalar(self) -> float:
-        return float(self.coeffs[0])
+        return self.coeffs[0]
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return max(map(abs, self.coeffs))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm_inf() <= tol
 
     def __eq__(self, other):
         if isinstance(other, Multivector):
-            return bool(np.array_equal(self.coeffs, other.coeffs))
+            return self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeffs + 0.0).tobytes())  # -0.0 + 0.0 is 0.0: equal means equal hash
+        return hash(self.coeffs)  # hash(-0.0) == hash(0.0): equal means equal hash
 
     def __repr__(self):
-        terms = []
-        names = _blade_names()
-        for mask in range(BLADE_COUNT):
-            c = self.coeffs[mask]
-            if c != 0.0:
-                terms.append(f"{c:g}*{names[mask]}" if mask else f"{c:g}")
+        terms = [f"{c:g}*{name}" if mask else f"{c:g}"
+                 for mask, (c, name) in enumerate(zip(self.coeffs, _BLADE_NAMES)) if c != 0.0]
         return "Multivector(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-def _blade_names():
-    vec = ("e1", "e2", "e3", "e0", "einf")
-    out = []
-    for mask in range(BLADE_COUNT):
-        parts = [vec[b] for b in range(DIMENSION) if mask & (1 << b)]
-        out.append("^".join(parts) if parts else "1")
-    return out
+_BLADE_NAMES = tuple(
+    "^".join(v for b, v in enumerate(("e1", "e2", "e3", "e0", "einf")) if mask >> b & 1) or "1"
+    for mask in range(BLADE_COUNT)
+)
 
 
 def zero() -> Multivector:
-    return Multivector._raw(np.zeros(BLADE_COUNT))
+    return Multivector._raw((0.0,) * BLADE_COUNT)
 
 
 def scalar(value: float) -> Multivector:
-    out = np.zeros(BLADE_COUNT)
-    out[0] = float(value)
-    return Multivector._raw(out)
+    return Multivector._raw((float(value),) + (0.0,) * (BLADE_COUNT - 1))
 
 
 def mbasis(indices: Iterable[int] = ()) -> Multivector:
@@ -242,7 +239,7 @@ def mbasis(indices: Iterable[int] = ()) -> Multivector:
         if not 1 <= idx <= DIMENSION:
             raise ValueError(f"basis index {idx} outside 1..{DIMENSION}")
         mask |= 1 << (idx - 1)
-    out = np.zeros(BLADE_COUNT)
+    out = [0.0] * BLADE_COUNT
     out[mask] = 1.0
     return Multivector._raw(out)
 

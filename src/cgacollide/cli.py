@@ -14,8 +14,10 @@ import argparse
 import functools
 import json
 import math
+import random
 import sys
 
+from .cga import null_inf, null_zero
 from .collision import (
     CollisionReport,
     ball_capsule_collide,
@@ -24,6 +26,7 @@ from .collision import (
     robot_union_fold,
     robots_collide,
 )
+from .objects import point
 from .primitives import Capsule, ClosedBall, Segment, capsule_degenerate_as_ball
 from .scene import Scene, SceneError, load_scene
 
@@ -114,25 +117,20 @@ def run_dist(args: argparse.Namespace) -> int:
 
 def selftest_checks() -> list[tuple[str, bool]]:
     """Run the embedded identity suite through the shipped Multivector
-    operators; returns (name, passed) pairs.  Only this command loads numpy."""
-    import numpy as np
-
-    from .cga import null_inf, null_zero
-    from .objects import point
-
+    operators; returns (name, passed) pairs."""
     e0, einf = null_zero(), null_inf()
     checks: list[tuple[str, bool]] = []
     checks.append(("null-zero-squares-to-zero", (e0 * e0).scalar == 0.0))
     checks.append(("null-inf-squares-to-zero", (einf * einf).scalar == 0.0))
     checks.append(("null-contraction-is-minus-one", (e0 | einf).scalar == -1.0))
 
-    rng = np.random.default_rng(20240917)
+    rng = random.Random(20240917)
     ok = True
     for _ in range(200):
-        p = rng.uniform(-1e4, 1e4, 3)
-        q = rng.uniform(-1e4, 1e4, 3)
+        p = [rng.uniform(-1e4, 1e4) for _ in range(3)]
+        q = [rng.uniform(-1e4, 1e4) for _ in range(3)]
         got = 2.0 * abs((point(p) | point(q)).scalar)
-        want = float((p - q) @ (p - q))
+        want = sum((a - b) ** 2 for a, b in zip(p, q))
         if abs(got - want) > 1e-9 * max(1.0, want):
             ok = False
             break
@@ -147,7 +145,7 @@ def selftest_checks() -> list[tuple[str, bool]]:
     ok = as_ball is not None
     if ok:
         for _ in range(50):
-            partner = ClosedBall(rng.uniform(-10, 10, 3), float(rng.uniform(0, 5)))
+            partner = ClosedBall([rng.uniform(-10, 10) for _ in range(3)], rng.uniform(0, 5))
             if ball_capsule_collide(partner, caps) != balls_collide(partner, as_ball):
                 ok = False
                 break

@@ -15,7 +15,7 @@ points, and compute u, v, w and a-e below inline in the written order (dot
 products sum x + y + z).  The kernels trust their float triples:
 coordinates are validated where they enter (primitives, scene parsing,
 center_dist_fa/fb/fc).  ClosestPair's witnesses q1, q2 are float triples
-as well, so nothing here loads numpy.
+as well.
 
 The point-segment case split:
 

@@ -15,7 +15,7 @@ share, keeps the coefficients of points, spheres and planes finite.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .cga import BLADE_COUNT, Multivector, null_inf
 from .primitives import MAX_MM, _scalar, as_radius, as_triple
@@ -34,7 +34,7 @@ def point(p) -> Multivector:
     # Left-to-right scalar arithmetic keeps point(p) | point(p) exactly -0.5*0,
     # because the contraction accumulates x*x, y*y, z*z in the same order.
     half_sq = 0.5 * (x * x + y * y + z * z)
-    out = np.zeros(BLADE_COUNT)
+    out = [0.0] * BLADE_COUNT
     out[_E1], out[_E2], out[_E3] = x, y, z
     out[_E0] = 1.0
     out[_EINF] = half_sq
@@ -44,7 +44,7 @@ def point(p) -> Multivector:
 def sphere(center, radius: float) -> Multivector:
     """IPNS sphere: point(center) - 0.5*r^2 * e_inf."""
     radius = as_radius(radius)
-    out = np.array(point(center).coeffs)
+    out = list(point(center).coeffs)
     out[_EINF] -= 0.5 * radius * radius
     return Multivector._raw(out)
 
@@ -52,11 +52,11 @@ def sphere(center, radius: float) -> Multivector:
 def plane(normal, d: float) -> Multivector:
     """IPNS plane n + d*e_inf; n must be unit length, d is the offset in mm."""
     n, d = as_triple(normal), _scalar(d, "a plane offset")
-    if abs(float(np.linalg.norm(n)) - 1.0) > _UNIT_NORMAL_TOL:
+    if abs(math.hypot(*n) - 1.0) > _UNIT_NORMAL_TOL:
         raise ValueError("plane normal must be unit length")
     if not -MAX_MM <= d <= MAX_MM:
         raise ValueError(f"plane offset must be finite and within {MAX_MM:g} mm, got {d}")
-    out = np.zeros(BLADE_COUNT)
+    out = [0.0] * BLADE_COUNT
     out[_E1], out[_E2], out[_E3] = n
     out[_EINF] = d
     return Multivector._raw(out)

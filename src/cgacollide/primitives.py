@@ -3,7 +3,7 @@
 as_triple (three numbers) and as_radius (a number >= 0) check every
 primitive's input once, and every accepted value lies within MAX_MM of zero,
 so no kernel overflows.  Primitives hold their coordinates as float
-triples, the one form the distance kernels read; nothing here loads numpy.
+triples, the one form the distance kernels read.
 
 All membership predicates use closed-set semantics (boundary points are
 inside).  They evaluate the conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2)
@@ -44,12 +44,9 @@ def _scalar(v, what: str) -> float:
 
 
 def as_triple(p) -> Vec:
-    """p as three finite floats within MAX_MM; else ValueError.  Takes exactly
-    what np.array(p, dtype=float) reads as shape (3,), with three exceptions,
-    each an error here: a complex entry, whose imaginary part numpy drops; a
-    text or bytes entry, which numpy parses (every entry follows _scalar's
-    rule); and an entry beyond MAX_MM.  Text, unordered containers and arrays
-    of another shape are not coordinates."""
+    """p as three finite floats within MAX_MM; else ValueError.  Takes three
+    real numbers, each by _scalar's rule; text, unordered containers and
+    arrays of another shape are not coordinates."""
     try:
         if isinstance(p, (str, bytes, set, frozenset, dict)) or getattr(p, "ndim", 1) != 1:
             raise TypeError

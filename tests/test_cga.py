@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgacollide import cga
 from cgacollide.cga import (
     BLADE_COUNT,
     GRADE,
@@ -105,7 +106,7 @@ class TestBasis:
     ], ids=["int", "bool", "fraction", "float32", "int8"])
     def test_real_coefficients_accepted(self, good):
         mv = Multivector(good)
-        assert mv.coeffs.dtype == np.float64
+        assert all(type(c) is float for c in mv.coeffs)
         assert mv.coeffs[0] == float(good[0])
 
     def test_signed_zeros_hash_equal(self):
@@ -119,8 +120,23 @@ class TestBasis:
         mv = mbasis({1})
         with pytest.raises((AttributeError, ValueError)):
             mv.coeffs = np.zeros(BLADE_COUNT)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             mv.coeffs[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [
+        set(range(BLADE_COUNT)),
+        frozenset(range(BLADE_COUNT)),
+        dict.fromkeys(range(BLADE_COUNT), 0.0),
+        (0.0 for _ in range(BLADE_COUNT)),
+        "1" * BLADE_COUNT,
+        b"1" * BLADE_COUNT,
+        np.zeros(BLADE_COUNT - 1),
+        np.zeros((BLADE_COUNT, 1)),
+    ], ids=["set", "frozenset", "dict", "generator", "str", "bytes", "shape-31", "shape-32x1"])
+    def test_non_sequences_rejected(self, bad):
+        # 32 coefficients in blade order: unordered, one-shot and text inputs have none
+        with pytest.raises(ValueError):
+            Multivector(bad)
 
 
 class TestNullBasisRelations:
@@ -247,8 +263,16 @@ class TestAlgebraicProperties:
         assert got == mbasis({1, 2, 3, 4})
 
 
+def table_arrays(rows):
+    """A row table as aligned (left, right, out, weight) int64/float64 arrays,
+    the form of the numpy product tables it replaced."""
+    left, right, out, weight = zip(*[(i, *term) for i, row in enumerate(rows) for term in row])
+    return (*(np.array(idx, np.int64) for idx in (left, right, out)), np.array(weight, np.float64))
+
+
 class TestTablePinning:
-    """The product tables, entry order and dtypes included, are pinned by digest."""
+    """The product tables, entry order included, are pinned by digest over
+    their (left, right, out, weight) arrays."""
 
     @pytest.mark.parametrize(
         "signature, digest",
@@ -258,13 +282,36 @@ class TestTablePinning:
         ],
         ids=["conformal", "all-positive"],
     )
-    def test_tables_are_pinned(self, signature, digest):
-        tables = tables_for(signature)
+    def test_tables_are_pinned(self, signature, digest, monkeypatch):
+        monkeypatch.setattr(cga, "SIGNATURE", signature)
+        tables_for.cache_clear()
+        try:
+            tables = tables_for()
+        finally:
+            tables_for.cache_clear()
         h = hashlib.sha256()
+        sizes = []
         for kind in ("geometric", "outer", "inner"):
-            for arr in tables[kind]:
+            arrays = table_arrays(tables[kind])
+            sizes.append(len(arrays[0]))
+            for arr in arrays:
                 h.update(kind.encode())
                 h.update(str(arr.dtype).encode())
                 h.update(arr.tobytes())
         assert h.hexdigest() == digest
-        assert [len(tables[kind][0]) for kind in ("geometric", "outer", "inner")] == [1024, 243, 243]
+        assert sizes == [1024, 243, 243]
+
+    @pytest.mark.parametrize(
+        "kind, op",
+        [("geometric", geometric), ("outer", outer), ("inner", inner)],
+        ids=["geometric", "outer", "inner"],
+    )
+    def test_products_sum_like_bincount(self, kind, op):
+        # the numpy product the tables replaced is the bit-for-bit reference, signed zeros included
+        left, right, out, weight = table_arrays(tables_for()[kind])
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a, b = rng.uniform(-1e4, 1e4, (2, BLADE_COUNT)) * (rng.random((2, BLADE_COUNT)) < 0.5)
+            want = np.bincount(out, weights=a[left] * b[right] * weight, minlength=BLADE_COUNT)
+            got = op(Multivector(a), Multivector(b)).coeffs
+            assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]

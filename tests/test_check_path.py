@@ -1,4 +1,4 @@
-"""The collision check runs without numpy; the algebra loads on first use.
+"""The package, the algebra included, runs without numpy.
 
 Each test runs a fresh interpreter, because this test session has long since
 imported numpy and every cgacollide module.
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import cgacollide
+import cgacollide.cli
 
 SRC = str(Path(cgacollide.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -45,17 +46,14 @@ if sys.argv[1] == "plain":
     assert "numpy" not in sys.modules, "the check path imported numpy"
 """
 
-ALGEBRA_ON_DEMAND = r"""
+NO_NUMPY = r"""
 import sys
-import cgacollide
-assert "numpy" not in sys.modules
-names = {"cga", "objects", "point", "Multivector"}
-assert names <= set(dir(cgacollide)), names - set(dir(cgacollide))
-assert cgacollide.point is cgacollide.objects.point
-assert cgacollide.Multivector is cgacollide.cga.Multivector
-from cgacollide import SIGNATURE, sphere
-assert "numpy" in sys.modules
-assert not hasattr(cgacollide, "no_such_name")
+sys.modules["numpy"] = None  # every later `import numpy` raises ImportError
+
+import cgacollide, cgacollide.cli
+for name in dir(cgacollide):
+    getattr(cgacollide, name)
+sys.exit(cgacollide.cli.main(["selftest"]))
 """
 
 
@@ -74,6 +72,9 @@ def test_check_path_runs_the_same_without_numpy():
     assert codes == ["exit 1", "exit 1", "exit 1", "exit 0"]
 
 
-def test_algebra_names_resolve_on_first_access():
-    proc = run(ALGEBRA_ON_DEMAND)
-    assert proc.returncode == 0, proc.stderr
+def test_package_and_selftest_run_without_numpy(capsys):
+    assert cgacollide.cli.main(["selftest"]) == 0
+    plain = capsys.readouterr().out
+    blocked = run(NO_NUMPY)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == plain

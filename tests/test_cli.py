@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import re
@@ -134,7 +133,10 @@ class TestSelftest:
     @pytest.fixture
     def all_positive_metric(self, monkeypatch):
         """The shipped Multivector products, built on signature (+,+,+,+,+)."""
-        monkeypatch.setattr(cga, "tables_for", functools.partial(cga.tables_for, (1.0,) * 5))
+        monkeypatch.setattr(cga, "SIGNATURE", (1.0,) * 5)
+        cga.tables_for.cache_clear()
+        yield
+        cga.tables_for.cache_clear()
 
     def test_fresh_build_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -131,7 +131,7 @@ class TestPointSegment:
             cap = min(center_dist_fa(p, seg.start), center_dist_fa(p, seg.end))
             assert r.squared_distance <= cap + 1e-9
 
-    def test_against_grid_oracle(self):
+    def test_against_exact_oracle_at_scale_200(self):
         rng = np.random.default_rng(44)
         for _ in range(100):
             p = rng.uniform(-200, 200, 3)
@@ -330,7 +330,7 @@ class TestSegmentSegment:
             ref = exact_distance2(seg1.start, seg1.end, seg2.start, seg2.end)
             assert abs(Fraction(got) - ref) <= 1e-9 * max(1, ref)
 
-    def test_against_grid_oracle(self):
+    def test_against_exact_oracle_at_scale_100(self):
         rng = np.random.default_rng(78)
         for _ in range(60):
             seg1 = random_segment(rng, scale=100)

@@ -60,7 +60,7 @@ class TestPoint:
             q = p + rng.uniform(-1, 1, 3) * 1e-6
             if np.linalg.norm(p - q) < 1e-6:
                 continue
-            gap = np.max(np.abs(point(p).coeffs - point(q).coeffs))
+            gap = np.max(np.abs(np.subtract(point(p).coeffs, point(q).coeffs)))
             assert gap >= 1e-7
 
 

@@ -34,7 +34,7 @@ class TestSegmentSegmentOracle:
     def test_parallel_gap_exact(self):
         assert exact_distance2((0, 0, 0), (0, 0, 130), (0, 120, 0), (0, 120, 130)) == 14400
 
-    def test_skew_example_hits_grid_node(self):
+    def test_skew_example_interior_minimum(self):
         # minimum at (s1, s2) = (0, 0.5), inside the unit square
         assert exact_distance2((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, -1, 1)) == 1
 
