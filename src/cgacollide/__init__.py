@@ -3,12 +3,12 @@ unions of closed balls and capsules.
 
 The package is organized bottom-up:
 
+* primitives: the input rules; closed balls, axis segments, capsules
 * cga:        dense multivector arithmetic over the 5D conformal algebra
 * objects:    conformal points, spheres, planes, circles, lines
-* primitives: closed balls, axis segments, capsules
 * distance:   the three squared-distance kernels (point-point,
               point-segment, segment-segment) with full case analysis
-* collision:  pair predicates, robot models, evidence reports
+* collision:  pair predicates, membership, robot models, evidence reports
 * scene:      plain-text scene files plus the bundled two-arm scenario
 * cli:        `cgacollide check|dist|selftest`
 
@@ -44,7 +44,9 @@ from .collision import (
     PairCheck,
     RobotModel,
     ball_capsule_collide,
+    ball_contains,
     balls_collide,
+    capsule_contains,
     capsules_collide,
     components_collide,
     iter_pair_checks,
@@ -75,8 +77,6 @@ from .primitives import (
     Capsule,
     ClosedBall,
     Segment,
-    ball_contains,
-    capsule_contains,
     capsule_degenerate_as_ball,
     segment_point_at,
 )

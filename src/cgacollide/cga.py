@@ -36,7 +36,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable
 
-from .primitives import _scalar
+from .primitives import _reals, _scalar
 
 DIMENSION = 5
 BLADE_COUNT = 1 << DIMENSION  # 32
@@ -120,22 +120,15 @@ class Multivector:
 
     Operators: ``*`` geometric product, ``^`` outer product, ``|`` inner
     product (left contraction), ``+``/``-`` linear combination, and scalar
-    multiplication from either side.
+    multiplication from either side by a finite real factor.  A result
+    coefficient that overflows to inf or NaN is an OverflowError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        """coeffs: 32 finite real numbers in blade order.  Text, unordered
-        containers and arrays of another shape are not coefficients, and
-        every entry follows _scalar's rule, as a radius does."""
-        try:
-            if (isinstance(coeffs, (str, bytes, set, frozenset, dict))
-                    or getattr(coeffs, "ndim", 1) != 1 or len(coeffs) != BLADE_COUNT):
-                raise TypeError
-        except TypeError:  # len() of a generator, too
-            raise ValueError(f"expected {BLADE_COUNT} blade coefficients, got {coeffs!r}") from None
-        values = tuple(_scalar(c, "a real coefficient") for c in coeffs)
+        """coeffs: 32 finite real numbers in blade order, by primitives._reals' rule."""
+        values = _reals(coeffs, BLADE_COUNT, "real coefficients")
         if not all(map(math.isfinite, values)):
             raise ValueError("multivector coefficients must be finite")
         object.__setattr__(self, "coeffs", values)
@@ -153,12 +146,12 @@ class Multivector:
     # --- linear structure ------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(map(operator.add, self.coeffs, other.coeffs))
+            return _checked(map(operator.add, self.coeffs, other.coeffs))
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(map(operator.sub, self.coeffs, other.coeffs))
+            return _checked(map(operator.sub, self.coeffs, other.coeffs))
         return NotImplemented
 
     def __neg__(self):
@@ -167,22 +160,24 @@ class Multivector:
     # --- products ----------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(_product(self.coeffs, other.coeffs, "geometric"))
+            return _checked(_product(self.coeffs, other.coeffs, "geometric"))
         if isinstance(other, (int, float)):
-            s = float(other)
-            return Multivector._raw(x * s for x in self.coeffs)
+            s = _scalar(other, "a real factor")
+            if not math.isfinite(s):
+                raise ValueError(f"scalar factor must be finite, got {s}")
+            return _checked(x * s for x in self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__  # a scalar on the left: x * s == s * x in floats
 
     def __xor__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(_product(self.coeffs, other.coeffs, "outer"))
+            return _checked(_product(self.coeffs, other.coeffs, "outer"))
         return NotImplemented
 
     def __or__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._raw(_product(self.coeffs, other.coeffs, "inner"))
+            return _checked(_product(self.coeffs, other.coeffs, "inner"))
         return NotImplemented
 
     # --- structure -----------------------------------------------------------
@@ -214,6 +209,14 @@ class Multivector:
         return "Multivector(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+def _checked(values) -> Multivector:
+    """An operation's result, whose inf or NaN is an overflow; a finite sum() has none."""
+    out = Multivector._raw(values)
+    if not math.isfinite(sum(out.coeffs)) and not all(map(math.isfinite, out.coeffs)):
+        raise OverflowError("multivector coefficient overflowed to inf or NaN")
+    return out
+
+
 _BLADE_NAMES = tuple(
     "^".join(v for b, v in enumerate(("e1", "e2", "e3", "e0", "einf")) if mask >> b & 1) or "1"
     for mask in range(BLADE_COUNT)
@@ -225,7 +228,7 @@ def zero() -> Multivector:
 
 
 def scalar(value: float) -> Multivector:
-    return Multivector._raw((float(value),) + (0.0,) * (BLADE_COUNT - 1))
+    return Multivector((value,) + (0.0,) * (BLADE_COUNT - 1))
 
 
 def mbasis(indices: Iterable[int] = ()) -> Multivector:

@@ -3,7 +3,8 @@
 A pair of primitives collides iff the squared distance between their center
 sets is at most the squared sum of their radii.  Tangency (distance exactly
 equal to the radius sum) counts as a collision: the primitives are closed
-sets, so touching boundaries intersect.
+sets, so touching boundaries intersect.  Membership is the same rule, bit for
+bit: x lies in a component iff the zero-radius ball at x collides with it.
 
 Two robots collide iff some component pair collides; the report enumerates
 every pair in lexicographic (i, j) order as audit evidence.
@@ -48,6 +49,16 @@ def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:
     """(colliding, squared distance, squared threshold) of one pair."""
     _, _, sq, threshold, colliding = next(_pair_checks((a,), (b,)))
     return colliding, sq, threshold
+
+
+def ball_contains(ball: ClosedBall, x) -> bool:
+    """True iff x lies in the closed ball (boundary included)."""
+    return components_collide(ClosedBall(x, 0.0), ball)[0]
+
+
+def capsule_contains(capsule: Capsule, x) -> bool:
+    """True iff x lies within capsule.radius of the axis segment."""
+    return components_collide(ClosedBall(x, 0.0), capsule)[0]
 
 
 def balls_collide(b1: ClosedBall, b2: ClosedBall) -> bool:

@@ -3,12 +3,8 @@
 as_triple (three numbers) and as_radius (a number >= 0) check every
 primitive's input once, and every accepted value lies within MAX_MM of zero,
 so no kernel overflows.  Primitives hold their coordinates as float
-triples, the one form the distance kernels read.
-
-All membership predicates use closed-set semantics (boundary points are
-inside).  They evaluate the conformal sign test 0 <= 0.5 * (r^2 - |x - p|^2)
-with the same distance kernels as the pair predicates, so a boundary point
-rounds the same way whether it is tested as a member or as a zero-radius ball.
+triples, the one form the distance kernels read.  This module imports
+nothing from the package: every other module builds on it.
 """
 
 from __future__ import annotations
@@ -43,19 +39,24 @@ def _scalar(v, what: str) -> float:
         raise ValueError(f"expected {what}, got {v!r}") from None
 
 
-def as_triple(p) -> Vec:
-    """p as three finite floats within MAX_MM; else ValueError.  Takes three
-    real numbers, each by _scalar's rule; text, unordered containers and
-    arrays of another shape are not coordinates."""
+def _reals(values, n: int, what: str) -> tuple:
+    """n floats from a sized sequence of n reals, each by _scalar's rule; text, sets,
+    dicts, iterators, generators and arrays of another shape are a ValueError."""
     try:
-        if isinstance(p, (str, bytes, set, frozenset, dict)) or getattr(p, "ndim", 1) != 1:
+        if (isinstance(values, (str, bytes, set, frozenset, dict))
+                or getattr(values, "ndim", 1) != 1 or len(values) != n):
             raise TypeError
-        x, y, z = p
-        if not type(x) is type(y) is type(z) is float:  # the scene parser's floats skip this
-            what = "a coordinate"
-            x, y, z = _scalar(x, what), _scalar(y, what), _scalar(z, what)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected 3 coordinates, got {p!r}") from None
+    except TypeError:  # len() of an iterator or generator, too
+        raise ValueError(f"expected {n} {what}, got {values!r}") from None
+    return tuple(_scalar(v, what) for v in values)
+
+
+def as_triple(p) -> Vec:
+    """p as three finite floats within MAX_MM, by _reals' rule; else ValueError."""
+    if type(p) in (tuple, list) and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float:
+        x, y, z = p  # the scene parser's float lists skip the container rule
+    else:
+        x, y, z = _reals(p, 3, "coordinates")
     if not (-MAX_MM <= x <= MAX_MM and -MAX_MM <= y <= MAX_MM and -MAX_MM <= z <= MAX_MM):
         if not all(map(math.isfinite, (x, y, z))):  # NaN fails the bound as well
             raise ValueError("non-finite coordinates")
@@ -71,16 +72,6 @@ def as_radius(r) -> float:
             raise ValueError(f"non-finite radius {r}")
         raise ValueError(f"negative radius {r}" if r < 0.0 else f"radius {r} beyond {MAX_MM:g} mm")
     return r
-
-
-def _sub(x: Vec, y: Vec) -> Vec:
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
-
-
-def _dot(x, y) -> float:
-    """Left-to-right dot product of two triples; every degeneracy and distance
-    test sums in this order, so they agree at DEGENERACY_EPS2."""
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 @dataclass(frozen=True, init=False)
@@ -106,12 +97,13 @@ class Segment:
 
     @property
     def direction(self) -> Vec:
-        return _sub(self.end, self.start)
+        s, e = self.start, self.end
+        return (e[0] - s[0], e[1] - s[1], e[2] - s[2])
 
     @property
     def length2(self) -> float:
-        d = self.direction
-        return _dot(d, d)
+        dx, dy, dz = self.direction
+        return dx * dx + dy * dy + dz * dz  # x + y + z, as the kernels sum
 
     def is_degenerate(self) -> bool:
         return self.length2 < DEGENERACY_EPS2
@@ -139,21 +131,6 @@ def segment_point_at(seg: Segment, t: float) -> Vec:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"segment parameter must lie in [0, 1], got {t}")
     return seg.point_at(t)
-
-
-def ball_contains(ball: ClosedBall, x) -> bool:
-    """True iff x lies in the closed ball (boundary included)."""
-    from .distance import fa
-
-    return fa(as_triple(x), ball.center) <= ball.radius * ball.radius
-
-
-def capsule_contains(capsule: Capsule, x) -> bool:
-    """True iff x lies within capsule.radius of the axis segment."""
-    from .distance import fb
-
-    axis = capsule.axis
-    return fb(as_triple(x), axis.start, axis.end)[0] <= capsule.radius * capsule.radius
 
 
 def capsule_degenerate_as_ball(capsule: Capsule) -> Optional[ClosedBall]:

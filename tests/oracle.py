@@ -23,9 +23,18 @@ from typing import NamedTuple
 
 from cgacollide.collision import Component, RobotModel, _centers
 from cgacollide.distance import PARALLEL_EPS, fa, fb
-from cgacollide.primitives import DEGENERACY_EPS2, Segment, Vec, _dot, _sub
+from cgacollide.primitives import DEGENERACY_EPS2, Segment, Vec
 
 _EQUAL_TOL = 1e-12
+
+
+def _sub(x, y) -> tuple:
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
+
+
+def _dot(x, y):
+    """Left-to-right dot product of two triples, x + y + z as the kernels sum."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _edge(a: int, b: int, c: int) -> tuple:

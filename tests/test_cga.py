@@ -206,6 +206,37 @@ class TestProducts:
         assert GRADE[0b10110] == 3
         assert GRADE[0b11111] == 5
 
+    @pytest.mark.parametrize("build", [
+        lambda: scalar("1.5"),
+        lambda: scalar(np.nan),
+        lambda: scalar(np.inf),
+        lambda: mbasis({1}) * np.inf,
+        lambda: np.nan * mbasis({1}),
+    ], ids=["scalar-text", "scalar-nan", "scalar-inf", "times-inf", "nan-times"])
+    def test_scalars_follow_the_coefficient_rule(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+BIG = Multivector([1e200] + [0.0] * (BLADE_COUNT - 1))  # squares to 1e400
+HUGE = Multivector([1e308] + [0.0] * (BLADE_COUNT - 1))  # doubles to 2e308
+
+
+class TestOverflow:
+    # every Multivector is finite, so a non-finite result coefficient is an overflow
+    @pytest.mark.parametrize("op", [
+        lambda: BIG * BIG,
+        lambda: BIG ^ BIG,
+        lambda: BIG | BIG,
+        lambda: HUGE + HUGE,
+        lambda: HUGE - (-HUGE),
+        lambda: HUGE * 10.0,
+        lambda: 10.0 * HUGE,
+    ], ids=["geometric", "outer", "inner", "add", "sub", "times-scalar", "scalar-times"])
+    def test_overflow_raises(self, op):
+        with pytest.raises(OverflowError):
+            op()
+
 
 @st.composite
 def grade1_vectors(draw):

@@ -117,7 +117,7 @@ class TestPairPredicates:
         # on the chord between closest center points, and for separated pairs
         # probe sampled points for joint membership
         from cgacollide.distance import center_dist_fb, center_dist_fc
-        from cgacollide.primitives import ball_contains, capsule_contains
+        from cgacollide.collision import ball_contains, capsule_contains
 
         def closest_centers(a, b):
             if isinstance(a, ClosedBall) and isinstance(b, ClosedBall):
@@ -340,13 +340,14 @@ REMOVED_NAMES = (
     "components_equal", "robots_equal", "_EQUAL_TOL", "segment_pair_coefficients",
     "segment_pair_quadratic", "stationary_point", "SegmentPairCoefficients",
     "StationaryPoint", "ConformalObject", "as_coords", "_coefficients", "_stationary",
-    "CliConfig", "e_plus", "e_minus", "_blade_lift",
+    "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
 )
 
 
 @pytest.mark.parametrize("module", ["cgacollide", "cgacollide.distance",
                                     "cgacollide.collision", "cgacollide.objects",
-                                    "cgacollide.cli", "cgacollide.cga"])
+                                    "cgacollide.cli", "cgacollide.cga",
+                                    "cgacollide.primitives"])
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)
     assert [name for name in REMOVED_NAMES if hasattr(mod, name)] == []

@@ -1,11 +1,14 @@
+import ast
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgacollide.cga import inner, scalar_part
-from cgacollide.collision import balls_collide
+from cgacollide import primitives
+from cgacollide.collision import ball_contains, balls_collide, capsule_contains
 from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
     DEGENERACY_EPS2,
@@ -14,8 +17,6 @@ from cgacollide.primitives import (
     ClosedBall,
     Segment,
     as_triple,
-    ball_contains,
-    capsule_contains,
     capsule_degenerate_as_ball,
     segment_point_at,
 )
@@ -62,6 +63,8 @@ REJECTED = {
     "bytes-entry": (b"1", 2, 3),
     "text-array": np.array(["1", "2", "3"]),
     "set": {1.0, 2.0, 3.0},
+    "generator": (v for v in (1.0, 2.0, 3.0)),
+    "iterator": iter([1.0, 2.0, 3.0]),
     "nan": [0.0, np.nan, 0.0],
     "+inf": [np.inf, 0.0, 0.0],
     "-inf": [0.0, 0.0, -np.inf],
@@ -302,3 +305,12 @@ class TestCoordinateRule:
         for xyz, arr in ((ball.center, np.asarray(ball.center)), (seg.start, np.asarray(seg.start)),
                          (seg.end, np.asarray(seg.end)), (caps.axis.start, np.asarray(caps.axis.start))):
             assert xyz == (1.0, 2.0, 3.0) and arr.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_primitives_import_nothing_from_the_package():
+    # primitives is the leaf of the import graph, function bodies included
+    nodes = list(ast.walk(ast.parse(Path(primitives.__file__).read_text(encoding="utf-8"))))
+    assert [n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.level] == []
+    modules = [n.module for n in nodes if isinstance(n, ast.ImportFrom)]
+    modules += [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    assert [m for m in modules if m.split(".")[0] == "cgacollide"] == []
