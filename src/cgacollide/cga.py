@@ -31,6 +31,7 @@ tables_for() builds its product tables on first use, in plain Python.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import cache
 from types import MappingProxyType
@@ -161,12 +162,15 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return _checked(_product(self.coeffs, other.coeffs, "geometric"))
-        if isinstance(other, (int, float)):
+        try:
             s = _scalar(other, "a real factor")
-            if not math.isfinite(s):
-                raise ValueError(f"scalar factor must be finite, got {s}")
-            return _checked(x * s for x in self.coeffs)
-        return NotImplemented
+        except ValueError:
+            if isinstance(other, numbers.Real):
+                raise  # a real number too large for a float
+            return NotImplemented  # text, complex numbers and non-numbers
+        if not math.isfinite(s):
+            raise ValueError(f"scalar factor must be finite, got {s}")
+        return _checked(x * s for x in self.coeffs)
 
     __rmul__ = __mul__  # a scalar on the left: x * s == s * x in floats
 

@@ -41,9 +41,15 @@ so a*c cannot underflow to zero).  Q is convex, so when the stationary
 point falls outside the unit square, clamp and recompute (Ericson,
 Real-Time Collision Detection, 2005, 5.1.9) finds the boundary minimum:
 clamp s1k to [0, 1], solve s2 from that end of segment 1, and only if s2
-clamps, re-solve s1 from the clamped end of segment 2.  (Near-)parallel
-segments keep the best of the four clamped edges: started at s1 = 0 they
-would miss a minimum at s1 = 1 (links whose gap closes at their far ends).
+clamps, re-solve s1 from the clamped end of segment 2.  Each solve is fb's
+projection and branch rules written on fc's own terms: the numerator is -e
+from a1 and -d from a2, which fb's dot products equal exactly, so only b1
+and b2 take a dot product, and fa runs once, on the final witnesses.  The
+results are fb's bit for bit: a first-stage t/c that underflows to 0.0
+falls through to the second solve (for floats t < c, t/c stays below 1.0).
+(Near-)parallel segments keep the best of the four clamped edges: started
+at s1 = 0 they would miss a minimum at s1 = 1 (links whose gap closes at
+their far ends).
 """
 
 from __future__ import annotations
@@ -144,15 +150,35 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
         q2 = (x2 + s2 * vx, y2 + s2 * vy, z2 + s2 * vz)
         return fa(q1, q2), s1, s2, q1, q2
 
-    # Clamp and recompute: one fb call, or two when s2 clamps too.
+    # Clamp and recompute: fb's projection on fc's terms, one fa call.
     if not 0.0 <= s1 <= 1.0:
-        s1, p = (0.0, a1) if s1 < 0.0 else (1.0, b1)
-        sq, s2, q = fb(p, a2, b2)
-        if 0.0 < s2 < 1.0:
-            return sq, s1, s2, p, q
-    s2, p = (0.0, a2) if s2 <= 0.0 else (1.0, b2)
-    sq, s1, q = fb(p, a1, b1)
-    return sq, s1, s2, q, p
+        if s1 < 0.0:
+            s1, p, t = 0.0, a1, -e
+        else:
+            s1, p = 1.0, b1
+            t = (b1[0] - x2) * vx + (b1[1] - y2) * vy + (b1[2] - z2) * vz
+        if t <= 0.0:
+            s2 = 0.0
+        elif c <= t:
+            s2 = 1.0
+        else:
+            s2 = t / c
+            if 0.0 < s2 < 1.0:
+                q = (x2 + s2 * vx, y2 + s2 * vy, z2 + s2 * vz)
+                return fa(p, q), s1, s2, p, q
+    if s2 <= 0.0:
+        s2, p, t = 0.0, a2, -d
+    else:
+        s2, p = 1.0, b2
+        t = (b2[0] - x1) * ux + (b2[1] - y1) * uy + (b2[2] - z1) * uz
+    if t <= 0.0:
+        s1, q = 0.0, a1
+    elif a <= t:
+        s1, q = 1.0, b1
+    else:
+        s1 = t / a
+        q = (x1 + s1 * ux, y1 + s1 * uy, z1 + s1 * uz)
+    return fa(p, q), s1, s2, q, p
 
 
 def center_dist_fa(p1, p2) -> float:

@@ -28,13 +28,16 @@ Vec = tuple[float, float, float]
 
 def _scalar(v, what: str) -> float:
     """float(v) for a real number v; text and complex numbers are a ValueError,
-    also where float() would parse the text or truncate the complex number."""
+    also where float() would parse the text or truncate the complex number, and
+    so is a number too large for a float (float() raises OverflowError)."""
     try:
         if not isinstance(v, (float, int, numbers.Real)) and isinstance(
             v, (str, bytes, bytearray, numbers.Complex)
         ):
             raise TypeError
         return float(v)
+    except OverflowError:  # no repr: an int of 4300+ digits has none
+        raise ValueError(f"expected {what}, got a number too large for a float") from None
     except (TypeError, ValueError):
         raise ValueError(f"expected {what}, got {v!r}") from None
 

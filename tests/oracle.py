@@ -8,7 +8,8 @@ without rounding.  exact_component_distance2 applies it to the center sets
 of two components (a ball's is the segment (center, center)).
 
 The earlier four-edge segment-segment kernel, four_edge_fc, stays to pin
-the clamp-and-recompute kernel to it bit for bit.
+the clamp-and-recompute kernel to it bit for bit, and fb_recompute_fc, the
+clamp and recompute as fb calls, pins fc's inline boundary solve.
 
 It also holds the test-only views of the package: the segment-pair
 quadratic and its stationary point, over the helper form fc had before it
@@ -122,6 +123,26 @@ def four_edge_fc(a1, b1, a2, b2):
         sq, s1, q = fb(p, a1, b1)
         edges.append((sq, s1, s2, q, p))
     return min(edges)
+
+
+def fb_recompute_fc(a1, b1, a2, b2):
+    """distance.fc as it was before it solved its boundary inline: clamp s1k,
+    fb from that end of segment 1, and only if s2 clamps, fb from the clamped
+    end of segment 2.  Off the boundary it is four_edge_fc, as fc was."""
+    _, _, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
+    if a < DEGENERACY_EPS2 or c < DEGENERACY_EPS2:
+        return four_edge_fc(a1, b1, a2, b2)
+    s1, s2, exists = _stationary(a, b, c, d, e)
+    if not exists or (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0):
+        return four_edge_fc(a1, b1, a2, b2)
+    if not 0.0 <= s1 <= 1.0:
+        s1, p = (0.0, a1) if s1 < 0.0 else (1.0, b1)
+        sq, s2, q = fb(p, a2, b2)
+        if 0.0 < s2 < 1.0:
+            return sq, s1, s2, p, q
+    s2, p = (0.0, a2) if s2 <= 0.0 else (1.0, b2)
+    sq, s1, q = fb(p, a1, b1)
+    return sq, s1, s2, q, p
 
 
 class SegmentPairCoefficients(NamedTuple):

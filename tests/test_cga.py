@@ -218,6 +218,32 @@ class TestProducts:
             build()
 
 
+class TestScalarFactor:
+    # a scalar factor is taken by primitives._scalar's rule, from either side
+    @pytest.mark.parametrize("factor", [Fraction(1, 2), np.float32(0.5), np.int64(2), True])
+    def test_any_real_factor_equals_its_float_bit_for_bit(self, factor):
+        mv = Multivector([1 / 3] + [0.1 * k for k in range(1, BLADE_COUNT)])
+        want = (float(factor) * mv).coeffs
+        assert (factor * mv).coeffs == want and (mv * factor).coeffs == want
+
+    @pytest.mark.parametrize("factor", ["2", b"2", 2j, 1 + 0j, None], ids=repr)
+    def test_text_and_complex_are_not_factors(self, factor):
+        with pytest.raises(TypeError):
+            mbasis({1}) * factor
+        with pytest.raises(TypeError):
+            factor * mbasis({1})
+
+    def test_a_real_too_large_for_a_float_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            mbasis({1}) * 10**400
+        with pytest.raises(ValueError):
+            -(10**400) * mbasis({1})
+
+    def test_an_inf_product_still_overflows(self):
+        with pytest.raises(OverflowError):
+            Fraction(10**300) * Multivector([1e300] + [0.0] * (BLADE_COUNT - 1))
+
+
 BIG = Multivector([1e200] + [0.0] * (BLADE_COUNT - 1))  # squares to 1e400
 HUGE = Multivector([1e308] + [0.0] * (BLADE_COUNT - 1))  # doubles to 2e308
 

@@ -18,8 +18,11 @@ from cgacollide.distance import (
 )
 from oracle import (
     _coefficients,
+    _dot,
     _stationary,
+    _sub,
     exact_distance2,
+    fb_recompute_fc,
     four_edge_fc,
     segment_pair_coefficients,
     segment_pair_quadratic,
@@ -450,6 +453,96 @@ class TestClampAndRecompute:
         assert total >= 100_000
         assert differ == []
         assert min(branches.values()) >= 100, branches
+
+
+def first_solve(a1, b1, a2, b2) -> tuple:
+    """(t, c) of the first clamped solve: fb's numerator from the clamped end
+    of segment 1 onto a2 -> b2, and segment 2's squared length."""
+    _, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
+    s1k, _, _ = _stationary(a, b, c, d, e)
+    return _dot(_sub(a1 if s1k < 0.0 else b1, a2), v), c
+
+
+def mirrored(ends) -> list:
+    """A segment pair, with each segment reversed, the pair swapped, every
+    coordinate negated, and every zero made -0.0."""
+    a1, b1, a2, b2 = ends
+    out = []
+    for q in ((a1, b1, a2, b2), (b1, a1, a2, b2), (a1, b1, b2, a2), (b1, a1, b2, a2)):
+        out += [q, q[2:] + q[:2]]
+    out += [tuple(tuple(-x for x in p) for p in q) for q in out[:8]]
+    out += [tuple(tuple(-0.0 if x == 0.0 else x for x in p) for p in q) for q in out[:8]]
+    return out
+
+
+class TestClampEdges:
+    """fc's inline boundary solve equals the fb calls it replaced, repr for
+    repr, where the projection's rounding decides the branch."""
+
+    @staticmethod
+    def beside(x, length=2.0) -> tuple:
+        """Segment 1 from (x, 1, 0) to (x, 2, 1) beside a2 -> (length, 0, 0):
+        s1k = -0.5, so s1 clamps to 0 and the first solve's t is x*length."""
+        return (x, 1.0, 0.0), (x, 2.0, 1.0), (0.0, 0.0, 0.0), (length, 0.0, 0.0)
+
+    def check(self, ends):
+        for q in mirrored(ends):
+            assert repr(fc(*q)) == repr(fb_recompute_fc(*q)), q
+
+    @pytest.mark.parametrize("length", [1.0, 2.0, 3.0, 1.7, 1e5])
+    def test_quotient_just_below_one(self, length):
+        # For floats t < c, t/c never rounds to 1.0: pred(c)/c <= 1 - 2**-53.
+        # So the nearest case to a rounded-up 1.0 is the largest t below c,
+        # which stays in the first solve with s2 < 1.
+        x = length
+        while x * length >= length * length:
+            x = math.nextafter(x, 0.0)
+        ends = self.beside(x, length)
+        t, c = first_solve(*ends)
+        assert t < c and t / c < 1.0
+        assert 0.0 < fc(*ends)[2] < 1.0
+        self.check(ends)
+
+    def test_quotient_never_rounds_to_one(self):
+        rng = np.random.default_rng(18)
+        for c in [*rng.uniform(1e-12, 1e12, 2000), *(2.0 ** k for k in range(-40, 40))]:
+            c = float(c)
+            assert math.nextafter(c, 0.0) / c < 1.0
+
+    @pytest.mark.parametrize("length", [0.5, 1.0, 2.0, 3.0])
+    def test_exact_ties_on_a_dyadic_grid(self, length):
+        ties = {"t == 0": 0, "t == c": 0}
+        for k in range(-8, 17):
+            ends = self.beside(k * length / 8, length)
+            t, c = first_solve(*ends)
+            ties["t == 0"] += t == 0.0
+            ties["t == c"] += t == c
+            self.check(ends)
+        assert ties == {"t == 0": 1, "t == c": 1}
+
+    @pytest.mark.parametrize("x, length", [(5e-324, 2.0), (1e-320, 1e10), (2e-323, 1e3)])
+    def test_quotient_underflows_to_zero(self, x, length):
+        ends = self.beside(x, length)
+        t, c = first_solve(*ends)
+        assert t > 0.0 and t / c == 0.0
+        got = fc(*ends)
+        assert got[2] == 0.0 and got[4] is ends[2]  # fell through to the a2 solve
+        self.check(ends)
+
+    def test_s1_clamped_to_one_uses_the_b1_projection(self):
+        a1, b1, a2, b2 = self.beside(0.75)
+        ends = (b1, a1, a2, b2)  # reversed: s1k = 1.5
+        s1k, _, _ = _stationary(*_coefficients(*ends)[3:8])
+        assert s1k > 1.0
+        got = fc(*ends)
+        assert got[1] == 1.0 and got[3] is a1 and got[2] == 0.375
+        self.check(ends)
+
+    def test_negative_zero_coordinates(self):
+        ends = ((-0.0, 1.0, -0.0), (-0.0, 2.0, 1.0), (0.0, -0.0, 0.0), (2.0, 0.0, -0.0))
+        t, _ = first_solve(*ends)
+        assert t == 0.0
+        self.check(ends)
 
 
 class TestKernelPin:

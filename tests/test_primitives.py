@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgacollide.cga import inner, scalar_part
+from cgacollide.cga import Multivector, inner, scalar_part
 from cgacollide import primitives
 from cgacollide.collision import ball_contains, balls_collide, capsule_contains
 from cgacollide.objects import point, sphere
@@ -305,6 +305,20 @@ class TestCoordinateRule:
         for xyz, arr in ((ball.center, np.asarray(ball.center)), (seg.start, np.asarray(seg.start)),
                          (seg.end, np.asarray(seg.end)), (caps.axis.start, np.asarray(caps.axis.start))):
             assert xyz == (1.0, 2.0, 3.0) and arr.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("n", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+@pytest.mark.parametrize("build", [
+    lambda n: ClosedBall((0, 0, 0), n),
+    lambda n: ClosedBall((n, 0, 0), 1),
+    lambda n: Segment((n, 0, 0), (0, 0, 0)),
+    lambda n: Multivector([n] + [0] * 31),
+    lambda n: segment_point_at(Segment((0, 0, 0), (1, 0, 0)), n),
+], ids=["radius", "center", "segment", "multivector", "segment-parameter"])
+def test_int_too_large_for_a_float_is_a_value_error(build, n):
+    # float() raises OverflowError on such an int, and 10**5000 has no repr
+    with pytest.raises(ValueError, match="too large for a float"):
+        build(n)
 
 
 def test_primitives_import_nothing_from_the_package():
