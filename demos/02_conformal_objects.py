@@ -10,13 +10,11 @@ Run:  python3 demos/02_conformal_objects.py
 from cgacollide import (
     circle_ipns,
     circle_opns,
-    inner,
     line_ipns,
     line_opns,
     plane,
     plane_opns,
     point,
-    scalar_part,
     sphere,
     sphere_opns,
 )
@@ -27,7 +25,7 @@ from cgacollide import (
 s = sphere((0.0, 0.0, 0.0), 10.0)
 print("sphere r=10 at origin:", s)
 for x in [(0, 0, 0), (0, 0, 9.999), (0, 0, 10.0), (0, 0, 10.001)]:
-    val = scalar_part(inner(point(x), s))
+    val = (point(x) | s).scalar
     where = "inside" if val >= 0 else "outside"
     print(f"  x={x}: P|S = {val:10.4f}  -> {where}")
 
@@ -37,7 +35,7 @@ for x in [(0, 0, 0), (0, 0, 9.999), (0, 0, 10.0), (0, 0, 10.001)]:
 pi = plane((0.0, 0.0, 1.0), 5.0)  # z = 5
 print("\nplane z=5:", pi)
 for x in [(0, 0, 0), (3, 4, 5), (0, 0, 12)]:
-    print(f"  x={x}: signed distance = {scalar_part(inner(point(x), pi)):g}")
+    print(f"  x={x}: signed distance = {(point(x) | pi).scalar:g}")
 
 # ----------------------------------------------------------------------
 # OPNS constructions: wedge the spanning points.  Repeating a point

@@ -28,14 +28,10 @@ from .cga import (
     DIMENSION,
     SIGNATURE,
     Multivector,
-    geometric,
-    inner,
     mbasis,
     null_inf,
     null_zero,
-    outer,
     scalar,
-    scalar_part,
     zero,
 )
 from .collision import (
@@ -44,17 +40,17 @@ from .collision import (
     PairCheck,
     RobotModel,
     ball_capsule_collide,
-    ball_contains,
     balls_collide,
-    capsule_contains,
     capsules_collide,
     components_collide,
+    contains,
     iter_pair_checks,
     robot_union_fold,
     robots_collide,
     robots_collide_any,
 )
 from .distance import (
+    DEGENERACY_EPS2,
     PARALLEL_EPS,
     ClosestPair,
     center_dist_fa,
@@ -73,11 +69,9 @@ from .objects import (
     sphere_opns,
 )
 from .primitives import (
-    DEGENERACY_EPS2,
     Capsule,
     ClosedBall,
     Segment,
-    capsule_degenerate_as_ball,
     segment_point_at,
 )
 from .scene import (

@@ -112,7 +112,9 @@ def _product(a: tuple, b: tuple, kind: str) -> list:
     for x, row in zip(a, tables_for()[kind]):
         if x:  # a zero row only adds zeros, which leave every sum as it is
             for right, k, w in row:
-                out[k] += x * b[right] * w
+                y = b[right]
+                if y:  # a zero addend leaves out[k], which starts at +0.0 and never holds -0.0
+                    out[k] += x * y * w
     return out
 
 
@@ -239,13 +241,21 @@ def mbasis(indices: Iterable[int] = ()) -> Multivector:
     """Basis blade for a subset of {1..5}; the empty set gives the scalar 1.
 
     mbasis({1}) is e1, mbasis({4}) is e0, mbasis({5}) is einf,
-    mbasis({1, 2}) is e1^e2, and so on.
+    mbasis({1, 2}) is e1^e2, and so on.  An index that is not an integer in
+    1..5, or that repeats, is a ValueError.
     """
     mask = 0
     for idx in indices:
-        if not 1 <= idx <= DIMENSION:
+        try:
+            k = operator.index(idx)
+        except TypeError:
+            raise ValueError(f"basis index {idx!r} is not an integer") from None
+        if not 1 <= k <= DIMENSION:
             raise ValueError(f"basis index {idx} outside 1..{DIMENSION}")
-        mask |= 1 << (idx - 1)
+        bit = 1 << (k - 1)
+        if mask & bit:
+            raise ValueError(f"basis index {idx} repeats")
+        mask |= bit
     out = [0.0] * BLADE_COUNT
     out[mask] = 1.0
     return Multivector._raw(out)
@@ -259,19 +269,3 @@ def null_zero() -> Multivector:
 def null_inf() -> Multivector:
     """Infinity null vector einf."""
     return mbasis({5})
-
-
-def outer(a: Multivector, b: Multivector) -> Multivector:
-    return a ^ b
-
-
-def inner(a: Multivector, b: Multivector) -> Multivector:
-    return a | b
-
-
-def geometric(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def scalar_part(a: Multivector) -> float:
-    return a.scalar

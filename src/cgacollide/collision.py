@@ -12,6 +12,7 @@ every pair in lexicographic (i, j) order as audit evidence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterator, NamedTuple, Union
@@ -51,14 +52,9 @@ def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:
     return colliding, sq, threshold
 
 
-def ball_contains(ball: ClosedBall, x) -> bool:
-    """True iff x lies in the closed ball (boundary included)."""
-    return components_collide(ClosedBall(x, 0.0), ball)[0]
-
-
-def capsule_contains(capsule: Capsule, x) -> bool:
-    """True iff x lies within capsule.radius of the axis segment."""
-    return components_collide(ClosedBall(x, 0.0), capsule)[0]
+def contains(component: Component, x) -> bool:
+    """True iff x lies in the closed ball or capsule (boundary included)."""
+    return components_collide(ClosedBall(x, 0.0), component)[0]
 
 
 def balls_collide(b1: ClosedBall, b2: ClosedBall) -> bool:
@@ -80,6 +76,10 @@ def robot_union_fold(m: int, n: int, component_at: Callable[[int], Component]) -
     holds component 0 only when m = 0; extending the upper bound to n appends
     component n exactly when m <= n.  An inverted range yields an empty list.
     """
+    try:
+        m, n = operator.index(m), operator.index(n)
+    except TypeError:
+        raise ValueError(f"component indices must be integers, got {m!r} and {n!r}") from None
     if m < 0 or n < 0:
         raise ValueError("component indices are natural numbers")
     return [component_at(k) for k in range(m, n + 1)]
@@ -120,8 +120,12 @@ class PairCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class CollisionReport:
-    verdict: bool
     pairs: tuple[PairCheck, ...]
+
+    @property
+    def verdict(self) -> bool:
+        """True iff some reported pair collides."""
+        return any(p.colliding for p in self.pairs)
 
 
 def iter_pair_checks(r1: RobotModel, r2: RobotModel) -> Iterator[PairCheck]:
@@ -131,8 +135,7 @@ def iter_pair_checks(r1: RobotModel, r2: RobotModel) -> Iterator[PairCheck]:
 
 def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
     """Check every component pair, none skipped, and report complete evidence."""
-    pairs = tuple(iter_pair_checks(r1, r2))
-    return CollisionReport(any(p.colliding for p in pairs), pairs)
+    return CollisionReport(tuple(iter_pair_checks(r1, r2)))
 
 
 def robots_collide_any(r1: RobotModel, r2: RobotModel) -> bool:

@@ -57,7 +57,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .primitives import DEGENERACY_EPS2, Segment, Vec, as_triple
+from .primitives import Segment, Vec, as_triple
+
+# Segments shorter than this (squared mm) behave as single points.
+DEGENERACY_EPS2 = 1e-12
 
 # Relative threshold on a*c - b^2 below which segments count as parallel.
 PARALLEL_EPS = 1e-10

@@ -12,10 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
-
-# Segments shorter than this (squared mm) behave as single points.
-DEGENERACY_EPS2 = 1e-12
 
 # Largest accepted |coordinate|, radius and plane offset (mm).  fc's a*c, a
 # product of two squared segment lengths, grows like 144*MAX_MM**4, so
@@ -103,14 +99,6 @@ class Segment:
         s, e = self.start, self.end
         return (e[0] - s[0], e[1] - s[1], e[2] - s[2])
 
-    @property
-    def length2(self) -> float:
-        dx, dy, dz = self.direction
-        return dx * dx + dy * dy + dz * dz  # x + y + z, as the kernels sum
-
-    def is_degenerate(self) -> bool:
-        return self.length2 < DEGENERACY_EPS2
-
     def point_at(self, t: float) -> Vec:
         """sc + t*(ec - sc), coordinate by coordinate."""
         s, d = self.start, self.direction
@@ -134,10 +122,3 @@ def segment_point_at(seg: Segment, t: float) -> Vec:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"segment parameter must lie in [0, 1], got {t}")
     return seg.point_at(t)
-
-
-def capsule_degenerate_as_ball(capsule: Capsule) -> Optional[ClosedBall]:
-    """The equivalent ball when the axis collapses to a point, else None."""
-    if capsule.axis.is_degenerate():
-        return ClosedBall(capsule.axis.start, capsule.radius)
-    return None

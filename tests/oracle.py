@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cgacollide.collision import Component, RobotModel, _centers
-from cgacollide.distance import PARALLEL_EPS, fa, fb
-from cgacollide.primitives import DEGENERACY_EPS2, Segment, Vec
+from cgacollide.distance import DEGENERACY_EPS2, PARALLEL_EPS, fa, fb
+from cgacollide.primitives import Segment, Vec
 
 _EQUAL_TOL = 1e-12
 

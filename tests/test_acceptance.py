@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cgacollide.cga import geometric, inner, null_inf, null_zero, scalar_part
+from cgacollide.cga import null_inf, null_zero
 from cgacollide.cli import main
 from cgacollide.collision import (
     RobotModel,
@@ -94,7 +94,7 @@ def test_criterion_2_distance_identity_bulk():
         for _ in range(100_000):
             p = rng.uniform(-1e4, 1e4, 3)
             q = rng.uniform(-1e4, 1e4, 3)
-            got = 2.0 * abs(scalar_part(inner(point(p), point(q))))
+            got = 2.0 * abs((point(p) | point(q)).scalar)
             want = float((p - q) @ (p - q))
             assert abs(got - want) <= 1e-9 * max(1.0, want)
         elapsed = time.perf_counter() - t0
@@ -104,9 +104,9 @@ def test_criterion_2_distance_identity_bulk():
 def test_criterion_3_null_basis_relations():
     with criterion(3, "null-vector relations exact at machine precision"):
         e0, einf = null_zero(), null_inf()
-        assert scalar_part(geometric(e0, e0)) == 0.0
-        assert scalar_part(geometric(einf, einf)) == 0.0
-        assert abs(scalar_part(inner(e0, einf)) - (-1.0)) <= 1e-15
+        assert (e0 * e0).scalar == 0.0
+        assert (einf * einf).scalar == 0.0
+        assert abs((e0 | einf).scalar - (-1.0)) <= 1e-15
 
 
 def _fb_instances(rng):

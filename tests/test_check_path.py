@@ -22,9 +22,8 @@ if sys.argv[1] == "blocked":
 
 import cgacollide, cgacollide.cli
 from cgacollide import (
-    ball_contains, bundled_scene_path, capsule_contains, center_dist_fa, center_dist_fb,
-    center_dist_fc, parse_scene, robots_collide, robots_collide_any, segment_point_at,
-    serialize_scene,
+    bundled_scene_path, center_dist_fa, center_dist_fb, center_dist_fc, contains,
+    parse_scene, robots_collide, robots_collide_any, segment_point_at, serialize_scene,
 )
 
 path = bundled_scene_path("table3.scene")
@@ -34,7 +33,7 @@ text = serialize_scene(scene)
 assert serialize_scene(parse_scene(text)) == text
 print(text, robots_collide(*scene.robots), robots_collide_any(*scene.robots))
 *links, ball = scene.robots[0].components
-print(ball_contains(ball, ball.center), capsule_contains(links[0], links[0].axis.end))
+print(contains(ball, ball.center), contains(links[0], links[0].axis.end))
 axis, other = links[0].axis, scene.robots[1].components[5].axis
 print(ball.center, axis.start, axis.end, axis.point_at(0.25), segment_point_at(axis, 0.75))
 print(center_dist_fa(ball.center, axis.end), center_dist_fb(ball.center, axis),

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cgacollide.collision import (
+    CollisionReport,
+    PairCheck,
     RobotModel,
     ball_capsule_collide,
     balls_collide,
@@ -117,7 +119,7 @@ class TestPairPredicates:
         # on the chord between closest center points, and for separated pairs
         # probe sampled points for joint membership
         from cgacollide.distance import center_dist_fb, center_dist_fc
-        from cgacollide.collision import ball_contains, capsule_contains
+        from cgacollide.collision import contains
 
         def closest_centers(a, b):
             if isinstance(a, ClosedBall) and isinstance(b, ClosedBall):
@@ -128,11 +130,6 @@ class TestPairPredicates:
                 return np.asarray(center_dist_fb(b.center, a.axis).q2), np.asarray(b.center)
             r = center_dist_fc(a.axis, b.axis)
             return np.asarray(r.q1), np.asarray(r.q2)
-
-        def contains(comp, x):
-            if isinstance(comp, ClosedBall):
-                return ball_contains(comp, x)
-            return capsule_contains(comp, x)
 
         rng = np.random.default_rng(205)
         for _ in range(500):
@@ -195,6 +192,11 @@ class TestRobotFold:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             robot_union_fold(-1, 3, lambda i: ClosedBall((0, 0, 0), 1))
+
+    @pytest.mark.parametrize("m, n", [(0.5, 2), (0, 2.0), ("0", 2), (0, None)])
+    def test_non_integer_bound_rejected(self, m, n):
+        with pytest.raises(ValueError):
+            robot_union_fold(m, n, lambda i: ClosedBall((0, 0, 0), 1))
 
     def test_long_range_in_ascending_order(self):
         # deeper than the interpreter's default recursion limit of 1000
@@ -259,6 +261,15 @@ class TestRobotModel:
 
 
 class TestRobotsCollide:
+    def test_report_verdict_is_read_from_its_pairs(self):
+        hit = PairCheck(0, 0, 0.0, 1.0, True)
+        miss = PairCheck(0, 1, 4.0, 1.0, False)
+        assert CollisionReport((miss, hit)).verdict
+        assert not CollisionReport((miss,)).verdict
+        assert not CollisionReport(()).verdict
+        with pytest.raises(TypeError):
+            CollisionReport(False, (hit,))  # no stored verdict to contradict the pairs
+
     def test_table3_scenario(self):
         scene = load_table3()
         report = robots_collide(scene.robots[0], scene.robots[1])
@@ -334,20 +345,33 @@ class TestRobotsCollide:
             check(r1, r2, skip_adjacent=True)
 
 
-# Test-only helpers and unused carriers that left the package for tests/oracle.py
-# or for good; none may come back as a public or private attribute.
+# Test-only helpers, unused carriers and second spellings of one operation that
+# left the package for tests/oracle.py or for good; none may come back as a public
+# or private attribute.
 REMOVED_NAMES = (
     "components_equal", "robots_equal", "_EQUAL_TOL", "segment_pair_coefficients",
     "segment_pair_quadratic", "stationary_point", "SegmentPairCoefficients",
     "StationaryPoint", "ConformalObject", "as_coords", "_coefficients", "_stationary",
     "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
+    "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
+    "capsule_degenerate_as_ball",
 )
 
 
 @pytest.mark.parametrize("module", ["cgacollide", "cgacollide.distance",
                                     "cgacollide.collision", "cgacollide.objects",
                                     "cgacollide.cli", "cgacollide.cga",
-                                    "cgacollide.primitives"])
+                                    "cgacollide.primitives", "cgacollide.scene"])
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)
     assert [name for name in REMOVED_NAMES if hasattr(mod, name)] == []
+
+
+def test_degeneracy_rule_has_one_home():
+    # the kernels own the |d|^2 < DEGENERACY_EPS2 test; Segment does not restate it
+    import cgacollide
+    from cgacollide import distance, primitives
+
+    assert [name for name in ("length2", "is_degenerate") if hasattr(Segment, name)] == []
+    assert not hasattr(primitives, "DEGENERACY_EPS2")
+    assert cgacollide.DEGENERACY_EPS2 is distance.DEGENERACY_EPS2 == 1e-12

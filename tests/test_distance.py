@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cgacollide.cga import inner, scalar_part
 from cgacollide.collision import RobotModel, capsules_collide, robots_collide
 from cgacollide.distance import (
+    DEGENERACY_EPS2,
     PARALLEL_EPS,
     center_dist_fa,
     center_dist_fb,
@@ -29,7 +29,7 @@ from oracle import (
     stationary_point,
 )
 from cgacollide.objects import point
-from cgacollide.primitives import DEGENERACY_EPS2, MAX_MM, Capsule, ClosedBall, Segment
+from cgacollide.primitives import MAX_MM, Capsule, ClosedBall, Segment
 
 
 def random_segment(rng, scale=1e3):
@@ -39,7 +39,7 @@ def random_segment(rng, scale=1e3):
 def conformal_sq(p, q):
     """2*|P.Q| on the 32-blade algebra, arguments in the kernels' lexicographic order."""
     a, b = sorted((tuple(map(float, p)), tuple(map(float, q))))
-    return 2.0 * abs(scalar_part(inner(point(a), point(b))))
+    return 2.0 * abs((point(a) | point(b)).scalar)
 
 
 class TestPointPoint:
@@ -94,10 +94,20 @@ class TestPointSegment:
         (3.069586933315121e-07, -2.6177123577256385e-07, -9.150148527266185e-07),
     ])
     def test_degeneracy_agrees_with_kernel_branch(self, d):
-        # |d|^2 sits within one rounding of DEGENERACY_EPS2; Segment.length2 and
-        # the kernel must sum it the same way to take the same side
+        # |d|^2 sits within one rounding of DEGENERACY_EPS2, so the side depends
+        # on the sum's order: fb and both of fc's degenerate branches take the
+        # point branch exactly when x*x + y*y + z*z, summed left to right, is below it
+        dx, dy, dz = d
+        degenerate = dx * dx + dy * dy + dz * dz < DEGENERACY_EPS2
         seg = Segment((0, 0, 0), d)
-        assert seg.is_degenerate() == (center_dist_fb((1.0, 0.0, 0.0), seg).s2 == 0.0)
+        assert (center_dist_fb((1.0, 0.0, 0.0), seg).s2 == 0.0) == degenerate
+        # a partner across the line through 2d, perpendicular to d: a true segment
+        # comes closest at its end, s = 1; a point stays at s = 0
+        n = np.cross(d, (0.0, 0.0, 1.0))
+        n /= np.linalg.norm(n)
+        other = Segment(2 * np.array(d) + n, 2 * np.array(d) - n)
+        assert (center_dist_fc(seg, other).s1 == 0.0) == degenerate
+        assert (center_dist_fc(other, seg).s2 == 0.0) == degenerate
 
     def test_start_clamp(self):
         r = center_dist_fb((0, 0, 0), Segment((0, 0, 65), (0, 0, 130)))

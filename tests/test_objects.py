@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cgacollide.cga import null_inf, null_zero, scalar_part, inner
+from cgacollide.cga import null_inf, null_zero
 from cgacollide.objects import (
     circle_ipns,
     circle_opns,
@@ -90,7 +90,7 @@ class TestSphere:
             x = rng.uniform(-500, 500, 3)
             c = rng.uniform(-500, 500, 3)
             r = float(rng.uniform(0, 200))
-            got = scalar_part(inner(point(x), sphere(c, r)))
+            got = (point(x) | sphere(c, r)).scalar
             want = (Fraction(r) ** 2 - exact_distance2(x, x, c, c)) / 2
             assert abs(Fraction(got) - want) <= 1e-9 * max(1, abs(want))
 
@@ -100,7 +100,7 @@ class TestSphere:
             x = rng.uniform(-50, 50, 3)
             c = rng.uniform(-50, 50, 3)
             r = float(rng.uniform(0, 60))
-            sign_in = scalar_part(inner(point(x), sphere(c, r))) >= 0.0
+            sign_in = (point(x) | sphere(c, r)).scalar >= 0.0
             exact_in = exact_distance2(x, x, c, c) <= Fraction(r) ** 2
             assert sign_in == exact_in
 
@@ -133,7 +133,7 @@ class TestPlane:
             n /= np.linalg.norm(n)
             d = float(rng.uniform(-100, 100))
             x = rng.uniform(-100, 100, 3)
-            got = scalar_part(inner(point(x), plane(n, d)))
+            got = (point(x) | plane(n, d)).scalar
             want = float(n @ x) - d
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 

@@ -6,18 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgacollide.cga import Multivector, inner, scalar_part
+from cgacollide.cga import Multivector
 from cgacollide import primitives
-from cgacollide.collision import ball_contains, balls_collide, capsule_contains
+from cgacollide.collision import balls_collide, components_collide, contains
+from cgacollide.distance import DEGENERACY_EPS2, center_dist_fb, center_dist_fc
 from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
-    DEGENERACY_EPS2,
     MAX_MM,
     Capsule,
     ClosedBall,
     Segment,
     as_triple,
-    capsule_degenerate_as_ball,
     segment_point_at,
 )
 
@@ -91,14 +90,14 @@ ACCEPTED = {
 
 class TestClosedBall:
     def test_contains_center(self):
-        assert ball_contains(ClosedBall((0, 0, 0), 1.0), (0, 0, 0))
+        assert contains(ClosedBall((0, 0, 0), 1.0), (0, 0, 0))
 
     def test_boundary_is_inside(self):
-        assert ball_contains(ClosedBall((0, 0, 0), 1.0), (0, 0, 1))
+        assert contains(ClosedBall((0, 0, 0), 1.0), (0, 0, 1))
 
     def test_outside(self):
         # distance 17 > radius 16
-        assert not ball_contains(ClosedBall((70, 90, 130), 16.0), (70, 90, 147))
+        assert not contains(ClosedBall((70, 90, 130), 16.0), (70, 90, 147))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -126,8 +125,8 @@ class TestClosedBall:
         s = sphere(ball.center, ball.radius)
         for _ in range(500):
             x = rng.uniform(-15, 15, 3)
-            conformal = scalar_part(inner(point(x), s)) >= 0.0
-            assert ball_contains(ball, x) == conformal
+            conformal = (point(x) | s).scalar >= 0.0
+            assert contains(ball, x) == conformal
 
     def test_boundary_membership_agrees_with_pair_predicates(self):
         # on sampled sphere boundaries rounding decides membership, so the
@@ -140,8 +139,8 @@ class TestClosedBall:
             d = rng.normal(size=3)
             x = c + r * d / np.linalg.norm(d)
             ball = ClosedBall(c, r)
-            inside = ball_contains(ball, x)
-            assert inside == capsule_contains(Capsule(Segment(c, c), r), x)
+            inside = contains(ball, x)
+            assert inside == contains(Capsule(Segment(c, c), r), x)
             assert inside == balls_collide(ClosedBall(x, 0.0), ball)
 
     def test_diameter_bound(self):
@@ -153,7 +152,7 @@ class TestClosedBall:
         members = []
         while len(members) < 200:
             x = center + rng.uniform(-r, r, 3)
-            if ball_contains(ball, x):
+            if contains(ball, x):
                 members.append(x)
         for _ in range(500):
             i, j = rng.integers(0, len(members), 2)
@@ -199,11 +198,11 @@ class TestSegment:
         rng = np.random.default_rng(9)
         for _ in range(50):
             seg = Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3))
-            bound = abs(scalar_part(inner(point(seg.start), point(seg.end))))
+            bound = abs((point(seg.start) | point(seg.end)).scalar)
             for _ in range(20):
                 t1, t2 = rng.uniform(0, 1, 2)
                 val = abs(
-                    scalar_part(inner(point(seg.point_at(t1)), point(seg.point_at(t2))))
+                    (point(seg.point_at(t1)) | point(seg.point_at(t2))).scalar
                 )
                 assert val <= bound + 1e-9
 
@@ -211,16 +210,16 @@ class TestSegment:
 class TestCapsule:
     def test_point_on_axis(self):
         caps = Capsule(Segment((0, 0, 0), (0, 0, 10)), 1.0)
-        assert capsule_contains(caps, (0, 0, 5))
+        assert contains(caps, (0, 0, 5))
 
     def test_point_beyond_radius(self):
         caps = Capsule(Segment((0, 0, 0), (0, 0, 10)), 1.0)
-        assert not capsule_contains(caps, (0, 1.5, 5))
+        assert not contains(caps, (0, 1.5, 5))
 
     def test_degenerate_capsule_membership(self):
         caps = Capsule(Segment((1, 2, 3), (1, 2, 3)), 2.0)
-        assert capsule_contains(caps, (1, 2, 4.9))
-        assert not capsule_contains(caps, (1, 2, 5.1))
+        assert contains(caps, (1, 2, 4.9))
+        assert not contains(caps, (1, 2, 5.1))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -241,28 +240,48 @@ class TestCapsule:
             Capsule(axis, 1.0)
 
     def test_degenerate_as_ball(self):
+        # a point axis collides as the ball at its start, bit for bit, with
+        # ball and capsule partners alike
+        rng = np.random.default_rng(22)
         caps = Capsule(Segment((1, 1, 1), (1, 1, 1)), 3.0)
-        ball = capsule_degenerate_as_ball(caps)
-        assert ball is not None
-        assert np.array_equal(ball.center, caps.axis.start)
-        assert ball.radius == 3.0
+        ball = ClosedBall(caps.axis.start, caps.radius)
+        for _ in range(200):
+            c = rng.uniform(-10, 10, 3)
+            r = float(rng.uniform(0, 5))
+            for partner in (ClosedBall(c, r), Capsule(Segment(c, rng.uniform(-10, 10, 3)), r)):
+                assert components_collide(partner, caps) == components_collide(partner, ball)
+                assert components_collide(caps, partner) == components_collide(ball, partner)
 
     def test_nondegenerate_has_no_ball_reduction(self):
-        assert capsule_degenerate_as_ball(Capsule(Segment((0, 0, 0), (0, 0, 1)), 3.0)) is None
+        caps = Capsule(Segment((0, 0, 0), (0, 0, 1)), 3.0)
+        dx, dy, dz = caps.axis.direction
+        assert not dx * dx + dy * dy + dz * dz < DEGENERACY_EPS2
+        assert center_dist_fb((0, 0, 2), caps.axis).s2 == 1.0
+        assert contains(caps, (0, 0, 3.5))
+        assert not contains(ClosedBall(caps.axis.start, caps.radius), (0, 0, 3.5))
 
     def test_below_epsilon_treated_as_point(self):
+        # an axis whose |d|^2, summed x + y + z as the kernels sum it, is below
+        # DEGENERACY_EPS2 takes the kernels' point branches: its start stands for it
         start = np.array([1.0, 1.0, 1.0])
         caps = Capsule(Segment(start, start + 1e-15), 3.0)
-        assert caps.axis.length2 < DEGENERACY_EPS2
-        assert capsule_degenerate_as_ball(caps) is not None
+        dx, dy, dz = caps.axis.direction
+        assert dx * dx + dy * dy + dz * dz < DEGENERACY_EPS2
+        r = center_dist_fb((1.0, 1.0, 5.0), caps.axis)
+        assert (r.s2, r.q2) == (0.0, caps.axis.start)
+        other = Segment((-1.0, 1.0, 5.0), (3.0, 1.0, 5.0))
+        first, second = center_dist_fc(caps.axis, other), center_dist_fc(other, caps.axis)
+        assert (first.s1, first.q1) == (0.0, caps.axis.start)
+        assert (second.s2, second.q2) == (0.0, caps.axis.start)
+        assert first.squared_distance == center_dist_fb(caps.axis.start, other).squared_distance
 
     def test_degenerate_capsule_equals_ball_membership(self):
         rng = np.random.default_rng(21)
         caps = Capsule(Segment((2, -1, 4), (2, -1, 4)), 1.75)
-        ball = capsule_degenerate_as_ball(caps)
+        ball = ClosedBall(caps.axis.start, caps.radius)
         for _ in range(500):
             x = rng.uniform(-2, 6, 3)
-            assert capsule_contains(caps, x) == ball_contains(ball, x)
+            assert contains(caps, x) == contains(ball, x)
 
 
 class TestCoordinateRule:
