@@ -8,7 +8,7 @@ The package is organized bottom-up:
 * objects:    conformal points, spheres, planes, circles, lines
 * distance:   the three squared-distance kernels (point-point,
               point-segment, segment-segment) with full case analysis
-* collision:  pair predicates, membership, robot models, evidence reports
+* collision:  the one pair dispatch, membership, robot models, evidence reports
 * scene:      plain-text scene files plus the bundled two-arm scenario
 * cli:        `cgacollide check|dist|selftest`
 
@@ -39,12 +39,8 @@ from .collision import (
     Component,
     PairCheck,
     RobotModel,
-    ball_capsule_collide,
-    balls_collide,
-    capsules_collide,
     components_collide,
     contains,
-    iter_pair_checks,
     robot_union_fold,
     robots_collide,
     robots_collide_any,

@@ -242,8 +242,12 @@ def mbasis(indices: Iterable[int] = ()) -> Multivector:
 
     mbasis({1}) is e1, mbasis({4}) is e0, mbasis({5}) is einf,
     mbasis({1, 2}) is e1^e2, and so on.  An index that is not an integer in
-    1..5, or that repeats, is a ValueError.
+    1..5, or that repeats, is a ValueError, and so is a non-iterable argument.
     """
+    try:
+        indices = tuple(indices)
+    except TypeError:
+        raise ValueError(f"basis indices must be iterable, got {indices!r}") from None
     mask = 0
     for idx in indices:
         try:

@@ -20,11 +20,10 @@ import sys
 from .cga import null_inf, null_zero
 from .collision import (
     CollisionReport,
-    ball_capsule_collide,
-    balls_collide,
-    iter_pair_checks,
+    components_collide,
     robot_union_fold,
     robots_collide,
+    robots_collide_any,
 )
 from .objects import point
 from .primitives import Capsule, ClosedBall, Segment
@@ -65,8 +64,7 @@ def run_check(args: argparse.Namespace) -> int:
     if args.all_pairs:
         report = robots_collide(r1, r2)
     else:
-        pairs = iter_pair_checks(r1, r2)
-        hit = next((p for p in pairs if p.colliding), None)
+        hit = robots_collide_any(r1, r2)
         report = CollisionReport(() if hit is None else (hit,))
 
     _write(
@@ -101,7 +99,7 @@ def run_dist(args: argparse.Namespace) -> int:
     rows = [
         {"i": p.i, "j": p.j, "squared_distance": p.squared_distance,
          "distance": math.sqrt(p.squared_distance)}
-        for p in iter_pair_checks(r1, r2)
+        for p in robots_collide(r1, r2).pairs
     ]
     _write(
         args,
@@ -144,7 +142,7 @@ def selftest_checks() -> list[tuple[str, bool]]:
     as_ball = ClosedBall(caps.axis.start, caps.radius)
     partners = (ClosedBall([rng.uniform(-10, 10) for _ in range(3)], rng.uniform(0, 5))
                 for _ in range(50))
-    ok = all(ball_capsule_collide(p, caps) == balls_collide(p, as_ball) for p in partners)
+    ok = all(components_collide(p, caps)[0] == components_collide(p, as_ball)[0] for p in partners)
     checks.append(("degenerate-capsule-matches-ball", ok))
 
     probe = ClosedBall((0.0, 0.0, 0.0), 1.0)

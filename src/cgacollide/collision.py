@@ -1,4 +1,4 @@
-"""Pairwise collision predicates and the robot-as-union-of-components model.
+"""The one pair dispatch, membership and the robot-as-union-of-components model.
 
 A pair of primitives collides iff the squared distance between their center
 sets is at most the squared sum of their radii.  Tangency (distance exactly
@@ -20,7 +20,8 @@ from typing import Callable, Iterator, NamedTuple, Union
 from .distance import fa, fb, fc
 from .primitives import Capsule, ClosedBall
 
-Component = Union[ClosedBall, Capsule]
+_KINDS = (ClosedBall, Capsule)  # the isinstance form of Component
+Component = Union[_KINDS]
 
 
 def _centers(c: Component) -> tuple:
@@ -47,7 +48,10 @@ def _pair_checks(comps1, comps2) -> Iterator[tuple]:
 
 
 def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:
-    """(colliding, squared distance, squared threshold) of one pair."""
+    """(colliding, squared distance, squared threshold) of one pair; the one
+    entry for a single pair, so anything but a ball or capsule is a ValueError."""
+    if not (isinstance(a, _KINDS) and isinstance(b, _KINDS)):
+        raise ValueError(f"a pair is two balls or capsules, got {a!r} and {b!r}")
     _, _, sq, threshold, colliding = next(_pair_checks((a,), (b,)))
     return colliding, sq, threshold
 
@@ -55,18 +59,6 @@ def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:
 def contains(component: Component, x) -> bool:
     """True iff x lies in the closed ball or capsule (boundary included)."""
     return components_collide(ClosedBall(x, 0.0), component)[0]
-
-
-def balls_collide(b1: ClosedBall, b2: ClosedBall) -> bool:
-    return components_collide(b1, b2)[0]
-
-
-def ball_capsule_collide(ball: ClosedBall, capsule: Capsule) -> bool:
-    return components_collide(ball, capsule)[0]
-
-
-def capsules_collide(c1: Capsule, c2: Capsule) -> bool:
-    return components_collide(c1, c2)[0]
 
 
 def robot_union_fold(m: int, n: int, component_at: Callable[[int], Component]) -> list[Component]:
@@ -101,7 +93,7 @@ class RobotModel:
             raise ValueError(f"robot {self.name!r}: components must be iterable") from None
         if not self.components:
             raise ValueError(f"robot {self.name!r} has no components")
-        if not all(isinstance(c, (ClosedBall, Capsule)) for c in self.components):
+        if not all(isinstance(c, _KINDS) for c in self.components):
             raise ValueError(f"robot {self.name!r}: every component must be a ball or capsule")
 
     def __len__(self) -> int:
@@ -122,22 +114,25 @@ class PairCheck(NamedTuple):
 class CollisionReport:
     pairs: tuple[PairCheck, ...]
 
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "pairs", tuple(self.pairs))
+        except TypeError:
+            raise ValueError(f"report pairs must be iterable, got {self.pairs!r}") from None
+
     @property
     def verdict(self) -> bool:
         """True iff some reported pair collides."""
         return any(p.colliding for p in self.pairs)
 
 
-def iter_pair_checks(r1: RobotModel, r2: RobotModel) -> Iterator[PairCheck]:
-    """Yield evidence for all len(r1) * len(r2) pairs in lexicographic (i, j) order."""
-    return starmap(PairCheck, _pair_checks(r1.components, r2.components))
-
-
 def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
     """Check every component pair, none skipped, and report complete evidence."""
-    return CollisionReport(tuple(iter_pair_checks(r1, r2)))
+    return CollisionReport(starmap(PairCheck, _pair_checks(r1.components, r2.components)))
 
 
-def robots_collide_any(r1: RobotModel, r2: RobotModel) -> bool:
-    """Boolean-only variant; stops at the first colliding pair."""
-    return any(p[4] for p in _pair_checks(r1.components, r2.components))
+def robots_collide_any(r1: RobotModel, r2: RobotModel) -> PairCheck | None:
+    """The first colliding pair in (i, j) order, or None; stops there, so its
+    truthiness is the verdict."""
+    hit = next((p for p in _pair_checks(r1.components, r2.components) if p[4]), None)
+    return None if hit is None else PairCheck(*hit)

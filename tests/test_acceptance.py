@@ -17,9 +17,7 @@ from cgacollide.cga import null_inf, null_zero
 from cgacollide.cli import main
 from cgacollide.collision import (
     RobotModel,
-    ball_capsule_collide,
-    balls_collide,
-    capsules_collide,
+    components_collide,
     robot_union_fold,
     robots_collide,
 )
@@ -203,8 +201,10 @@ def test_criterion_5_degeneracy_equalities():
                 Segment(rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3)),
                 float(rng.uniform(0, 20)),
             )
-            assert ball_capsule_collide(other_ball, caps) == balls_collide(other_ball, ball)
-            assert capsules_collide(caps, other_caps) == ball_capsule_collide(ball, other_caps)
+            assert (components_collide(other_ball, caps)[0]
+                    == components_collide(other_ball, ball)[0])
+            assert (components_collide(caps, other_caps)[0]
+                    == components_collide(ball, other_caps)[0])
 
 
 def test_criterion_6_collision_predicates_vs_reference():
@@ -224,27 +224,27 @@ def test_criterion_6_collision_predicates_vs_reference():
             b1, b2 = rand_ball(), rand_ball()
             rsum = b1.radius + b2.radius
             want = exact_component_distance2(b1, b2) <= rsum * rsum
-            assert balls_collide(b1, b2) == want
+            assert components_collide(b1, b2)[0] == want
         for _ in range(1000):
             b, c = rand_ball(), rand_caps()
             rsum = b.radius + c.radius
             want = exact_component_distance2(b, c) <= rsum * rsum
-            assert ball_capsule_collide(b, c) == want
+            assert components_collide(b, c)[0] == want
         for _ in range(1000):
             c1, c2 = rand_caps(), rand_caps()
             rsum = c1.radius + c2.radius
             want = exact_component_distance2(c1, c2) <= rsum * rsum
-            assert capsules_collide(c1, c2) == want
+            assert components_collide(c1, c2)[0] == want
 
         # engineered tangencies: distance exactly equals the radius sum
         for r1, r2 in ((2.0, 3.0), (7.0, 1.0), (16.0, 15.0)):
             rsum = r1 + r2
-            assert balls_collide(ClosedBall((0, 0, 0), r1), ClosedBall((rsum, 0, 0), r2))
+            assert components_collide(ClosedBall((0, 0, 0), r1), ClosedBall((rsum, 0, 0), r2))[0]
             axis = Segment((0, 0, 0), (10, 0, 0))
-            assert ball_capsule_collide(ClosedBall((5, rsum, 0), r1), Capsule(axis, r2))
-            assert capsules_collide(
+            assert components_collide(ClosedBall((5, rsum, 0), r1), Capsule(axis, r2))[0]
+            assert components_collide(
                 Capsule(axis, r1), Capsule(Segment((0, rsum, 0), (10, rsum, 0)), r2)
-            )
+            )[0]
 
 
 def test_criterion_7_robot_model_laws():

@@ -63,9 +63,10 @@ class TestBasis:
         with pytest.raises(ValueError):
             mbasis({bad})
 
-    @pytest.mark.parametrize("bad", [[1, 1], [2, 3, 2], [1.5], [1.0], ["1"], [1 + 0j], [None]],
+    @pytest.mark.parametrize("bad", [[1, 1], [2, 3, 2], [1.5], [1.0], ["1"], [1 + 0j], [None],
+                                     4, None],
                              ids=["repeat", "repeat-late", "fraction", "float", "str", "complex",
-                                  "none"])
+                                  "none", "not-iterable-int", "not-iterable-none"])
     def test_repeated_or_non_integer_index_rejected(self, bad):
         # an index is an integer in 1..5, named once: [1, 1] is no blade, not e1
         with pytest.raises(ValueError):

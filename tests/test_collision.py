@@ -8,11 +8,8 @@ from cgacollide.collision import (
     CollisionReport,
     PairCheck,
     RobotModel,
-    ball_capsule_collide,
-    balls_collide,
-    capsules_collide,
     components_collide,
-    iter_pair_checks,
+    contains,
     robot_union_fold,
     robots_collide,
     robots_collide_any,
@@ -38,24 +35,25 @@ def random_robot(rng, name, max_components=10):
 
 class TestPairPredicates:
     def test_end_effectors_do_not_touch(self):
-        assert not balls_collide(ClosedBall((70, 90, 130), 16), ClosedBall((70, 30, 130), 16))
+        tool1, tool2 = ClosedBall((70, 90, 130), 16), ClosedBall((70, 30, 130), 16)
+        assert not components_collide(tool1, tool2)[0]
 
     def test_concentric_balls(self):
-        assert balls_collide(ClosedBall((1, 1, 1), 2), ClosedBall((1, 1, 1), 5))
+        assert components_collide(ClosedBall((1, 1, 1), 2), ClosedBall((1, 1, 1), 5))[0]
 
     def test_tangent_balls_collide(self):
         # centers 5 apart, radii 2 + 3: closed sets touch
-        assert balls_collide(ClosedBall((0, 0, 0), 2), ClosedBall((5, 0, 0), 3))
+        assert components_collide(ClosedBall((0, 0, 0), 2), ClosedBall((5, 0, 0), 3))[0]
 
     def test_ball_on_capsule_axis(self):
         ball = ClosedBall((70, 90, 130), 16)
         caps = Capsule(Segment((70, 100, 130), (70, 30, 130)), 15)
-        assert ball_capsule_collide(ball, caps)
+        assert components_collide(ball, caps)[0]
 
     def test_ball_far_from_capsule(self):
         ball = ClosedBall((0, 0, 200), 10)
         caps = Capsule(Segment((0, 0, 0), (0, 0, 130)), 15)
-        assert not ball_capsule_collide(ball, caps)
+        assert not components_collide(ball, caps)[0]
 
     def test_degenerate_capsule_matches_ball_predicate(self):
         rng = np.random.default_rng(201)
@@ -65,22 +63,22 @@ class TestPairPredicates:
             caps = Capsule(Segment(center, center), r)
             ball = ClosedBall(center, r)
             other = ClosedBall(rng.uniform(-50, 50, 3), float(rng.uniform(0, 10)))
-            assert ball_capsule_collide(other, caps) == balls_collide(other, ball)
+            assert components_collide(other, caps)[0] == components_collide(other, ball)[0]
 
     def test_parallel_capsules_apart(self):
         c1 = Capsule(Segment((0, 0, 0), (0, 0, 65)), 15)
         c2 = Capsule(Segment((0, 120, 0), (0, 120, 65)), 15)
-        assert not capsules_collide(c1, c2)
+        assert not components_collide(c1, c2)[0]
 
     def test_coaxial_tangent_capsules(self):
         # axis gap 30 equals the radius sum
         c1 = Capsule(Segment((0, 0, 0), (0, 0, 10)), 15)
         c2 = Capsule(Segment((0, 0, 40), (0, 0, 50)), 15)
-        assert capsules_collide(c1, c2)
+        assert components_collide(c1, c2)[0]
 
     def test_identical_capsules(self):
         c = Capsule(Segment((1, 2, 3), (4, 5, 6)), 1.0)
-        assert capsules_collide(c, c)
+        assert components_collide(c, c)[0]
 
     def test_predicates_match_reference_threshold_rule(self):
         rng = np.random.default_rng(202)
@@ -105,7 +103,25 @@ class TestPairPredicates:
             # place second center exactly r1 + r2 away along an axis
             offset = np.zeros(3)
             offset[int(rng.integers(0, 3))] = r1 + r2
-            assert balls_collide(ClosedBall(c, r1), ClosedBall(c + offset, r2))
+            assert components_collide(ClosedBall(c, r1), ClosedBall(c + offset, r2))[0]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (ClosedBall((0, 0, 0), 1.0), "x"),
+            ((1, 2, 3), ClosedBall((0, 0, 0), 1.0)),
+            (Segment((0, 0, 0), (1, 0, 0)), Capsule(Segment((0, 0, 0), (1, 0, 0)), 1.0)),
+            (None, None),
+        ],
+        ids=["text", "bare-triple", "bare-segment", "none"],
+    )
+    def test_non_component_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            components_collide(a, b)
+
+    def test_contains_with_swapped_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            contains((1, 2, 3), (0, 0, 0))
 
     def test_dispatch_symmetry(self):
         ball = ClosedBall((0, 0, 0), 5)
@@ -119,7 +135,6 @@ class TestPairPredicates:
         # on the chord between closest center points, and for separated pairs
         # probe sampled points for joint membership
         from cgacollide.distance import center_dist_fb, center_dist_fc
-        from cgacollide.collision import contains
 
         def closest_centers(a, b):
             if isinstance(a, ClosedBall) and isinstance(b, ClosedBall):
@@ -270,6 +285,20 @@ class TestRobotsCollide:
         with pytest.raises(TypeError):
             CollisionReport(False, (hit,))  # no stored verdict to contradict the pairs
 
+    def test_report_holds_a_tuple_of_its_pairs(self):
+        miss, hit = PairCheck(0, 1, 4.0, 1.0, False), PairCheck(0, 0, 0.0, 1.0, True)
+        pairs = [miss]
+        report = CollisionReport(pairs)
+        pairs.append(hit)  # the caller's list is not the report's
+        assert report.pairs == (miss,)
+        assert not report.verdict
+        assert hash(report) == hash(CollisionReport((miss,)))
+
+    @pytest.mark.parametrize("pairs", [5, None, 1.5], ids=["int", "none", "float"])
+    def test_non_iterable_pairs_rejected(self, pairs):
+        with pytest.raises(ValueError):
+            CollisionReport(pairs)
+
     def test_table3_scenario(self):
         scene = load_table3()
         report = robots_collide(scene.robots[0], scene.robots[1])
@@ -321,7 +350,10 @@ class TestRobotsCollide:
                     if exact_component_distance2(a, b) <= rsum * rsum:
                         expect = True
             assert report.verdict == expect
-            assert robots_collide_any(r1, r2) == expect
+            # the early exit returns the report's first colliding pair, or None
+            hit = robots_collide_any(r1, r2)
+            assert hit == next((p for p in report.pairs if p.colliding), None)
+            assert bool(hit) == expect
 
     def test_symmetry_of_verdict(self):
         rng = np.random.default_rng(232)
@@ -338,7 +370,7 @@ class TestRobotsCollide:
         assert seen == sorted(seen)
         assert len(seen) == len(r1) * len(r2)
 
-    @pytest.mark.parametrize("check", [iter_pair_checks, robots_collide, robots_collide_any])
+    @pytest.mark.parametrize("check", [robots_collide, robots_collide_any])
     def test_no_pair_filter_option(self, check):
         r1, r2 = load_table3().robots
         with pytest.raises(TypeError):
@@ -354,7 +386,8 @@ REMOVED_NAMES = (
     "StationaryPoint", "ConformalObject", "as_coords", "_coefficients", "_stationary",
     "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
     "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
-    "capsule_degenerate_as_ball",
+    "capsule_degenerate_as_ball", "balls_collide", "ball_capsule_collide", "capsules_collide",
+    "iter_pair_checks",
 )
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cgacollide.collision import RobotModel, capsules_collide, robots_collide
+from cgacollide.collision import RobotModel, components_collide, robots_collide
 from cgacollide.distance import (
     DEGENERACY_EPS2,
     PARALLEL_EPS,
@@ -616,7 +616,7 @@ class TestShortSegments:
         assert r.squared_distance == 1.0
         assert (r.s1, r.s2) == (0.5, 0.5)
         c1, c2 = Capsule(seg1, 0.5), Capsule(seg2, 0.5)
-        assert capsules_collide(c1, c2)
+        assert components_collide(c1, c2)[0]
         assert robots_collide(RobotModel("a", (c1,)), RobotModel("b", (c2,))).verdict
 
 

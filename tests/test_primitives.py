@@ -8,7 +8,7 @@ import pytest
 
 from cgacollide.cga import Multivector
 from cgacollide import primitives
-from cgacollide.collision import balls_collide, components_collide, contains
+from cgacollide.collision import components_collide, contains
 from cgacollide.distance import DEGENERACY_EPS2, center_dist_fb, center_dist_fc
 from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
@@ -141,7 +141,7 @@ class TestClosedBall:
             ball = ClosedBall(c, r)
             inside = contains(ball, x)
             assert inside == contains(Capsule(Segment(c, c), r), x)
-            assert inside == balls_collide(ClosedBall(x, 0.0), ball)
+            assert inside == components_collide(ClosedBall(x, 0.0), ball)[0]
 
     def test_diameter_bound(self):
         # any two members are at most a diameter apart
