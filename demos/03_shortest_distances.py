@@ -36,10 +36,12 @@ for p in [(0, 0, 0), (0, 0, 200), (3, 4, 100)]:
 # ----------------------------------------------------------------------
 # Segment vs segment.  Non-parallel pairs may have a stationary point of
 # the distance quadratic in the parameter square: there the gap q1 - q2 is
-# perpendicular to both directions.  Otherwise the minimum sits on the
-# boundary of the square: clamp one parameter, re-solve the other, and
-# clamp again only if that leaves [0, 1].  Parallel pairs (zero cross
-# product) have no single stationary point; the best of the four edges wins.
+# perpendicular to both directions.  One chain covers every pair: clamp s1
+# of the stationary point to [0, 1], solve s2 from there, and only if s2
+# leaves [0, 1], clamp it and re-solve s1.  Parallel pairs (zero cross
+# product) have no single stationary point; the clamp then starts from the
+# end of segment 1 that the sign of s1's numerator picks, and any start
+# gives a parallel pair the same distance.
 # ----------------------------------------------------------------------
 skew1 = Segment((0, 0, 0), (1, 0, 0))
 skew2 = Segment((0, 1, 1), (0, -1, 1))
@@ -53,6 +55,6 @@ print(f"fc = {r.squared_distance:g} at (s1, s2) = ({r.s1:g}, {r.s2:g})")
 par1 = Segment((0, 0, 0), (0, 0, 130))
 par2 = Segment((0, 120, 0), (0, 120, 130))
 print("\nparallel pair: direction1 x direction2 =", cross(par1.direction, par2.direction))
-print("no single stationary point: fc takes the best of the four edges")
+print("no single stationary point: fc starts at an end of segment 1 and solves s2 from it")
 r = center_dist_fc(par1, par2)
-print(f"fc = {r.squared_distance:g} (constant gap 120)")
+print(f"fc = {r.squared_distance:g} at (s1, s2) = ({r.s1:g}, {r.s2:g}) (constant gap 120)")

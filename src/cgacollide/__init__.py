@@ -47,7 +47,6 @@ from .collision import (
 )
 from .distance import (
     DEGENERACY_EPS2,
-    PARALLEL_EPS,
     ClosestPair,
     center_dist_fa,
     center_dist_fb,

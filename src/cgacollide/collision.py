@@ -119,6 +119,8 @@ class CollisionReport:
             object.__setattr__(self, "pairs", tuple(self.pairs))
         except TypeError:
             raise ValueError(f"report pairs must be iterable, got {self.pairs!r}") from None
+        if not all(isinstance(p, PairCheck) for p in self.pairs):
+            raise ValueError(f"report pairs must be PairChecks, got {self.pairs!r}")
 
     @property
     def verdict(self) -> bool:

@@ -30,26 +30,29 @@ The segment-segment quadratic over (s1, s2) in [0, 1]^2 uses
     a = u.u, b = -(u.v), c = v.v, d = u.w, e = -(v.w), f = w.w
     Q(s1, s2) = a*s1^2 + c*s2^2 + 2*b*s1*s2 + 2*d*s1 + 2*e*s2 + f
 
-whose unconstrained stationary point is
+whose unconstrained stationary point has
 
-    s1k = (b*e - c*d) / (a*c - b^2)
-    s2k = (b*d - a*e) / (a*c - b^2)
+    s1k = num / det,  num = b*e - c*d,  det = a*c - b^2  (>= 0 before rounding).
 
-valid unless |a*c - b^2| <= PARALLEL_EPS*a*c.  The test is relative, so
-short segments are not taken for parallel (a, c >= DEGENERACY_EPS2 there,
-so a*c cannot underflow to zero).  Q is convex, so when the stationary
-point falls outside the unit square, clamp and recompute (Ericson,
-Real-Time Collision Detection, 2005, 5.1.9) finds the boundary minimum:
-clamp s1k to [0, 1], solve s2 from that end of segment 1, and only if s2
-clamps, re-solve s1 from the clamped end of segment 2.  Each solve is fb's
+Q is convex, so clamp and recompute (Ericson, Real-Time Collision
+Detection, 2005, 5.1.9) finds its minimum over the square: clamp s1k to
+[0, 1], solve s2 from that point of segment 1, and only if s2 clamps,
+re-solve s1 from the clamped end of segment 2.  The clamp compares num
+with 0 and det, so it divides only when 0 < num < det.  Each solve is fb's
 projection and branch rules written on fc's own terms: the numerator is -e
-from a1 and -d from a2, which fb's dot products equal exactly, so only b1
-and b2 take a dot product, and fa runs once, on the final witnesses.  The
-results are fb's bit for bit: a first-stage t/c that underflows to 0.0
-falls through to the second solve (for floats t < c, t/c stays below 1.0).
-(Near-)parallel segments keep the best of the four clamped edges: started
-at s1 = 0 they would miss a minimum at s1 = 1 (links whose gap closes at
-their far ends).
+from a1 and -d from a2, which fb's dot products equal exactly, and fa runs
+once, on the final witnesses.  The results are fb's bit for bit: a
+first-stage t/c that underflows to 0.0 falls through to the second solve
+(for floats t < c, t/c stays below 1.0).
+
+There is no parallel test.  For a given s1 the best s2 on the whole line
+lies (det/c)*(s1 - s1k)^2 above the line-line minimum, so where det is
+small an ill-conditioned s1k costs little distance.  When rounding makes
+det <= 0, the sign of num picks the end that clamping num/det picks as
+det -> 0+; that end is wrong only when num is within its own rounding of
+0, and then either end costs a distance of that rounding's size.  Exactly
+parallel pairs have num = 0 in exact arithmetic: every start s1 gives them
+the same distance, and rounding picks the witnesses.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ from .primitives import Segment, Vec, as_triple
 
 # Segments shorter than this (squared mm) behave as single points.
 DEGENERACY_EPS2 = 1e-12
-
-# Relative threshold on a*c - b^2 below which segments count as parallel.
-PARALLEL_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -133,42 +133,29 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
     d = ux * wx + uy * wy + uz * wz
     e = -(vx * wx + vy * wy + vz * wz)
     det = a * c - b * b
-    if abs(det) <= PARALLEL_EPS * a * c:
-        # Clamp each edge of the unit square in turn.  Tuples compare by
-        # (squared distance, s1, s2), so ties break toward the smallest
-        # (s1, s2) and parallel overlaps give one answer; equal keys share
-        # witnesses.
-        edges = []
-        for s1, p in ((0.0, a1), (1.0, b1)):
-            sq, s2, q = fb(p, a2, b2)
-            edges.append((sq, s1, s2, p, q))
-        for s2, p in ((0.0, a2), (1.0, b2)):
-            sq, s1, q = fb(p, a1, b1)
-            edges.append((sq, s1, s2, q, p))
-        return min(edges)
+    num = b * e - c * d  # s1k * det
 
-    s1, s2 = (b * e - c * d) / det, (b * d - a * e) / det
-    if 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0:
-        q1 = (x1 + s1 * ux, y1 + s1 * uy, z1 + s1 * uz)
-        q2 = (x2 + s2 * vx, y2 + s2 * vy, z2 + s2 * vz)
-        return fa(q1, q2), s1, s2, q1, q2
-
-    # Clamp and recompute: fb's projection on fc's terms, one fa call.
-    if not 0.0 <= s1 <= 1.0:
-        if s1 < 0.0:
-            s1, p, t = 0.0, a1, -e
-        else:
-            s1, p = 1.0, b1
-            t = (b1[0] - x2) * vx + (b1[1] - y2) * vy + (b1[2] - z2) * vz
-        if t <= 0.0:
-            s2 = 0.0
-        elif c <= t:
-            s2 = 1.0
-        else:
-            s2 = t / c
-            if 0.0 < s2 < 1.0:
-                q = (x2 + s2 * vx, y2 + s2 * vy, z2 + s2 * vz)
-                return fa(p, q), s1, s2, p, q
+    # Clamp s1k to [0, 1] (dividing only when 0 < num < det), solve s2 from
+    # that point of segment 1, and only if s2 clamps, re-solve s1 from the
+    # clamped end of segment 2; one fa call on the final witnesses.
+    if num <= 0.0:
+        s1, p, t = 0.0, a1, -e
+    elif det <= num:
+        s1, p = 1.0, b1
+        t = (b1[0] - x2) * vx + (b1[1] - y2) * vy + (b1[2] - z2) * vz
+    else:
+        s1 = num / det
+        p = (x1 + s1 * ux, y1 + s1 * uy, z1 + s1 * uz)
+        t = (p[0] - x2) * vx + (p[1] - y2) * vy + (p[2] - z2) * vz
+    if t <= 0.0:
+        s2 = 0.0
+    elif c <= t:
+        s2 = 1.0
+    else:
+        s2 = t / c
+        if 0.0 < s2 < 1.0:
+            q = (x2 + s2 * vx, y2 + s2 * vy, z2 + s2 * vz)
+            return fa(p, q), s1, s2, p, q
     if s2 <= 0.0:
         s2, p, t = 0.0, a2, -d
     else:

@@ -7,9 +7,11 @@ coordinates into integers and the minimum into a ratio of integers, found
 without rounding.  exact_component_distance2 applies it to the center sets
 of two components (a ball's is the segment (center, center)).
 
-The earlier four-edge segment-segment kernel, four_edge_fc, stays to pin
-the clamp-and-recompute kernel to it bit for bit, and fb_recompute_fc, the
-clamp and recompute as fb calls, pins fc's inline boundary solve.
+The earlier segment-segment kernels stay as references: four_edge_fc, which
+took the best of the four edges of the unit square on every boundary case,
+and fb_recompute_fc, the clamp and recompute as fb calls, which pins fc's
+inline boundary solve.  Both decide "parallel" by the old kernels' cut-off,
+PARALLEL_EPS; fc itself has no parallel test.
 
 It also holds the test-only views of the package: the segment-pair
 quadratic and its stationary point, over the helper form fc had before it
@@ -23,10 +25,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cgacollide.collision import Component, RobotModel, _centers
-from cgacollide.distance import DEGENERACY_EPS2, PARALLEL_EPS, fa, fb
+from cgacollide.distance import DEGENERACY_EPS2, fa, fb
 from cgacollide.primitives import Segment, Vec
 
 _EQUAL_TOL = 1e-12
+
+# The old kernels' relative cut-off on a*c - b^2, below which they took a
+# segment pair for parallel and searched the four edges of the unit square.
+PARALLEL_EPS = 1e-10
 
 
 def _sub(x, y) -> tuple:

@@ -99,6 +99,18 @@ class TestCheck:
         assert code == 1
         assert capsys.readouterr().out.count("pair i=") == 1
 
+    def test_near_parallel_crossing_links_collide(self, tmp_path, capsys):
+        # two 2 m links crossing at 8e-6 rad, 5e-7 mm closer than the radius
+        # sum (exact squared distance 899.99997): a parallel cut-off once sent
+        # the pair to a four-edge search that saw only the ends, 900.000034
+        scene = tmp_path / "crossing.scene"
+        scene.write_text("robot a\ncapsule 0 0 0 2000 0 0 15\n"
+                         "robot b\ncapsule 0 0.008 29.9999995 2000 -0.008 29.9999995 15\n")
+        assert main(["check", str(scene)]) == 1
+        text = capsys.readouterr().out
+        assert re.search(r"^pair i=0 j=0 .*  COLLISION$", text, re.M)
+        assert "verdict: collision" in text
+
     def test_exit_codes_stable_across_formats(self, capsys):
         for fmt in ("text", "json"):
             assert main(["check", "--format", fmt, TABLE3]) == 1

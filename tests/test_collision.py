@@ -299,6 +299,15 @@ class TestRobotsCollide:
         with pytest.raises(ValueError):
             CollisionReport(pairs)
 
+    @pytest.mark.parametrize("pairs", [["ab", 3], [(0, 0, 0.0, 1.0, True)]],
+                             ids=["text-and-int", "plain-tuple"])
+    def test_pairs_that_are_not_pair_checks_rejected(self, pairs):
+        # ['ab', 3] was once accepted, and its verdict raised AttributeError
+        with pytest.raises(ValueError):
+            CollisionReport(pairs)
+        with pytest.raises(ValueError):
+            CollisionReport([PairCheck(0, 0, 4.0, 1.0, False), *pairs])
+
     def test_table3_scenario(self):
         scene = load_table3()
         report = robots_collide(scene.robots[0], scene.robots[1])
@@ -387,7 +396,7 @@ REMOVED_NAMES = (
     "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
     "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
     "capsule_degenerate_as_ball", "balls_collide", "ball_capsule_collide", "capsules_collide",
-    "iter_pair_checks",
+    "iter_pair_checks", "PARALLEL_EPS",
 )
 
 
