@@ -46,7 +46,6 @@ from .collision import (
     robots_collide_any,
 )
 from .distance import (
-    DEGENERACY_EPS2,
     ClosestPair,
     center_dist_fa,
     center_dist_fb,

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 
@@ -43,13 +44,19 @@ def _load(args: argparse.Namespace, counts: tuple[int, ...], need: str) -> Scene
         return None
 
 
+def _print(lines) -> None:
+    """Print lines; a reader that stops early (`check scene | head -1`) cuts only the output."""
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()  # a cut pipe fails here, not in the interpreter's final flush
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")  # later writes go nowhere; entrypoint closes it
+
+
 def _write(args: argparse.Namespace, payload, lines) -> None:
     """Print payload() as JSON or lines() as text, each led by the scene path."""
-    if args.format == "json":
-        print(json.dumps({"scene": args.scene, **payload()}))
-    else:
-        for line in (f"scene: {args.scene}", *lines()):
-            print(line)
+    _print([json.dumps({"scene": args.scene, **payload()})] if args.format == "json"
+           else [f"scene: {args.scene}", *lines()])
 
 
 def run_check(args: argparse.Namespace) -> int:
@@ -155,10 +162,9 @@ def selftest_checks() -> list[tuple[str, bool]]:
 def run_selftest() -> int:
     """Print each identity check; exit 0 only if every one passes."""
     checks = selftest_checks()
-    for name, passed in checks:
-        print(f"{'ok  ' if passed else 'FAIL'} {name}")
     failed = sum(1 for _, passed in checks if not passed)
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    _print([*(f"{'ok  ' if passed else 'FAIL'} {name}" for name, passed in checks),
+            f"{len(checks) - failed}/{len(checks)} checks passed"])
     return 0 if failed == 0 else 1
 
 
@@ -198,7 +204,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    sys.stdout.close()  # flushed by _print, or its os.devnull stand-in after a cut pipe
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,12 +17,11 @@ coordinates are validated where they enter (primitives, scene parsing,
 center_dist_fa/fb/fc).  ClosestPair's witnesses q1, q2 are float triples
 as well.
 
-The point-segment case split:
+The point-segment case split, on t = (p - a).d and |d|^2 for d = b - a:
 
-    degenerate segment        -> point-point
-    projection parameter <= 0 -> start endpoint
-    projection parameter >= 1 -> end endpoint
-    otherwise                 -> interior projection point
+    t <= 0      -> start endpoint
+    |d|^2 <= t  -> end endpoint
+    otherwise   -> interior projection point, s = t / |d|^2
 
 The segment-segment quadratic over (s1, s2) in [0, 1]^2 uses
 
@@ -37,8 +36,7 @@ whose unconstrained stationary point has
 Q is convex, so clamp and recompute (Ericson, Real-Time Collision
 Detection, 2005, 5.1.9) finds its minimum over the square: clamp s1k to
 [0, 1], solve s2 from that point of segment 1, and only if s2 clamps,
-re-solve s1 from the clamped end of segment 2.  The clamp compares num
-with 0 and det, so it divides only when 0 < num < det.  Each solve is fb's
+re-solve s1 from the clamped end of segment 2.  Each solve is fb's
 projection and branch rules written on fc's own terms: the numerator is -e
 from a1 and -d from a2, which fb's dot products equal exactly, and fa runs
 once, on the final witnesses.  The results are fb's bit for bit: a
@@ -53,6 +51,10 @@ det -> 0+; that end is wrong only when num is within its own rounding of
 0, and then either end costs a distance of that rounding's size.  Exactly
 parallel pairs have num = 0 in exact arithmetic: every start s1 gives them
 the same distance, and rounding picks the witnesses.
+
+There is no degeneracy rule either: each division runs only when 0 <
+numerator < denominator, so a zero or underflowed length never divides, and
+a zero-length segment is its start point (num = 0; t = -e or -d is fb's t).
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ import math
 from dataclasses import dataclass
 
 from .primitives import Segment, Vec, as_triple
-
-# Segments shorter than this (squared mm) behave as single points.
-DEGENERACY_EPS2 = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def fb(p: Vec, a: Vec, b: Vec) -> tuple[float, float, Vec]:
     (ax, ay, az), (bx, by, bz), (px, py, pz) = a, b, p
     ux, uy, uz = bx - ax, by - ay, bz - az
     denom = ux * ux + uy * uy + uz * uz
-    t = 0.0 if denom < DEGENERACY_EPS2 else (px - ax) * ux + (py - ay) * uy + (pz - az) * uz
+    t = (px - ax) * ux + (py - ay) * uy + (pz - az) * uz
     if t <= 0.0:
         s, q = 0.0, a
     elif denom <= t:
@@ -120,14 +119,7 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
     ux, uy, uz = b1[0] - x1, b1[1] - y1, b1[2] - z1
     vx, vy, vz = b2[0] - x2, b2[1] - y2, b2[2] - z2
     a = ux * ux + uy * uy + uz * uz
-    if a < DEGENERACY_EPS2:
-        sq, s2, q2 = fb(a1, a2, b2)
-        return sq, 0.0, s2, a1, q2
     c = vx * vx + vy * vy + vz * vz
-    if c < DEGENERACY_EPS2:
-        sq, s1, q1 = fb(a2, a1, b1)
-        return sq, s1, 0.0, q1, a2
-
     wx, wy, wz = x1 - x2, y1 - y2, z1 - z2
     b = -(ux * vx + uy * vy + uz * vz)
     d = ux * wx + uy * wy + uz * wz

@@ -10,8 +10,9 @@ of two components (a ball's is the segment (center, center)).
 The earlier segment-segment kernels stay as references: four_edge_fc, which
 took the best of the four edges of the unit square on every boundary case,
 and fb_recompute_fc, the clamp and recompute as fb calls, which pins fc's
-inline boundary solve.  Both decide "parallel" by the old kernels' cut-off,
-PARALLEL_EPS; fc itself has no parallel test.
+inline boundary solve.  Both decide "parallel" and "degenerate" by the old
+kernels' cut-offs, PARALLEL_EPS and DEGENERACY_EPS2; fc itself has neither
+test.
 
 It also holds the test-only views of the package: the segment-pair
 quadratic and its stationary point, over the helper form fc had before it
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cgacollide.collision import Component, RobotModel, _centers
-from cgacollide.distance import DEGENERACY_EPS2, fa, fb
+from cgacollide.distance import fa, fb
 from cgacollide.primitives import Segment, Vec
 
 _EQUAL_TOL = 1e-12
@@ -33,6 +34,10 @@ _EQUAL_TOL = 1e-12
 # The old kernels' relative cut-off on a*c - b^2, below which they took a
 # segment pair for parallel and searched the four edges of the unit square.
 PARALLEL_EPS = 1e-10
+
+# The old kernels' cut-off on a segment's |d|^2 (mm^2, summed x + y + z),
+# below which they took the segment for its start point.
+DEGENERACY_EPS2 = 1e-12
 
 
 def _sub(x, y) -> tuple:

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -106,6 +108,19 @@ class TestCheck:
         scene = tmp_path / "crossing.scene"
         scene.write_text("robot a\ncapsule 0 0 0 2000 0 0 15\n"
                          "robot b\ncapsule 0 0.008 29.9999995 2000 -0.008 29.9999995 15\n")
+        assert main(["check", str(scene)]) == 1
+        text = capsys.readouterr().out
+        assert re.search(r"^pair i=0 j=0 .*  COLLISION$", text, re.M)
+        assert "verdict: collision" in text
+
+    def test_sub_micron_axis_collides(self, tmp_path, capsys):
+        # a 9e-7 mm capsule axis under a ball 2.0000005 mm above its start:
+        # exact squared distance 3.9999984 against the threshold 4.  A cut-off
+        # at |d|^2 < 1e-12 mm^2 once took the axis for its start point and
+        # reported squared 4, "separate", exit 0
+        scene = tmp_path / "short-axis.scene"
+        scene.write_text("robot a\ncapsule 0 0 0 0 0 0.0000009 1\n"
+                         "robot b\nball 0 0 2.0000005 1\n")
         assert main(["check", str(scene)]) == 1
         text = capsys.readouterr().out
         assert re.search(r"^pair i=0 j=0 .*  COLLISION$", text, re.M)
@@ -255,6 +270,41 @@ class TestSubprocessInvocation:
                               capture_output=True, text=True)
         assert main(["check", path]) == code
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestCutStdout:
+    """A reader that stops early (`check scene | head -1`) cuts the output,
+    not the exit code, and no traceback reaches stderr."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["check", SEPARATED], 0), (["check", TABLE3], 1),
+        (["check", "--format", "json", TABLE3], 1), (["dist", TABLE3], 0), (["selftest"], 0),
+    ], ids=["separated", "table3", "table3-json", "dist", "selftest"])
+    def test_exit_code_keeps_the_verdict(self, args, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(args) == code
+        assert sys.stdout.name == os.devnull  # the rest, final flush included, goes there
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_by_the_reader(self, tmp_path):
+        # 1600 pair lines, more than a pipe buffer holds, so the writer meets
+        # the closed pipe; the clear verdict still exits 0
+        balls = "".join(f"ball {10 * i} 0 0 1\n" for i in range(40))
+        scene = tmp_path / "clear.scene"
+        scene.write_text(f"robot a\n{balls}robot b\n{balls.replace(' 0 0 1', ' 1000 0 1')}")
+        with subprocess.Popen([sys.executable, "-m", "cgacollide.cli", "check", str(scene)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == f"scene: {scene}\n".encode()
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
 
 
 class TestPinnedOutput:

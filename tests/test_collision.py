@@ -396,7 +396,7 @@ REMOVED_NAMES = (
     "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
     "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
     "capsule_degenerate_as_ball", "balls_collide", "ball_capsule_collide", "capsules_collide",
-    "iter_pair_checks", "PARALLEL_EPS",
+    "iter_pair_checks", "PARALLEL_EPS", "DEGENERACY_EPS2",
 )
 
 
@@ -409,11 +409,8 @@ def test_removed_names_stay_removed(module):
     assert [name for name in REMOVED_NAMES if hasattr(mod, name)] == []
 
 
-def test_degeneracy_rule_has_one_home():
-    # the kernels own the |d|^2 < DEGENERACY_EPS2 test; Segment does not restate it
-    import cgacollide
-    from cgacollide import distance, primitives
-
+def test_no_degeneracy_rule():
+    # a zero-length axis is its start point through the kernels' ordinary
+    # branches, so no length cut-off exists to restate (DEGENERACY_EPS2 is
+    # in REMOVED_NAMES) and Segment has no degeneracy helpers
     assert [name for name in ("length2", "is_degenerate") if hasattr(Segment, name)] == []
-    assert not hasattr(primitives, "DEGENERACY_EPS2")
-    assert cgacollide.DEGENERACY_EPS2 is distance.DEGENERACY_EPS2 == 1e-12

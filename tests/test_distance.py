@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from cgacollide.collision import RobotModel, components_collide, robots_collide
 from cgacollide.distance import (
-    DEGENERACY_EPS2,
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
@@ -16,6 +16,7 @@ from cgacollide.distance import (
     fc,
 )
 from oracle import (
+    DEGENERACY_EPS2,
     PARALLEL_EPS,
     _coefficients,
     _dot,
@@ -23,13 +24,15 @@ from oracle import (
     _sub,
     exact_distance2,
     fb_recompute_fc,
-    four_edge_fc,
     segment_pair_coefficients,
     segment_pair_quadratic,
     stationary_point,
 )
 from cgacollide.objects import point
 from cgacollide.primitives import MAX_MM, Capsule, ClosedBall, Segment
+
+
+EPS = 2.0**-52
 
 
 def random_segment(rng, scale=1e3):
@@ -94,20 +97,29 @@ class TestPointSegment:
         (3.069586933315121e-07, -2.6177123577256385e-07, -9.150148527266185e-07),
     ])
     def test_degeneracy_agrees_with_kernel_branch(self, d):
-        # |d|^2 sits within one rounding of DEGENERACY_EPS2, so the side depends
-        # on the sum's order: fb and both of fc's degenerate branches take the
-        # point branch exactly when x*x + y*y + z*z, summed left to right, is below it
+        # |d|^2 sits within one rounding of the old kernels' DEGENERACY_EPS2, on
+        # either side of it as summed x + y + z; they took d0 for a segment and
+        # d1 for its start point.  The kernels have one branch rule for both:
+        # a true segment, whose end is closest to the query point
         dx, dy, dz = d
-        degenerate = dx * dx + dy * dy + dz * dz < DEGENERACY_EPS2
+        assert abs(dx * dx + dy * dy + dz * dz - DEGENERACY_EPS2) <= EPS * DEGENERACY_EPS2
         seg = Segment((0, 0, 0), d)
-        assert (center_dist_fb((1.0, 0.0, 0.0), seg).s2 == 0.0) == degenerate
-        # a partner across the line through 2d, perpendicular to d: a true segment
-        # comes closest at its end, s = 1; a point stays at s = 0
+        p = (1.0, 0.0, 0.0)
+        r = center_dist_fb(p, seg)
+        assert (r.s2, r.q2) == (1.0, seg.end)
+        assert abs(Fraction(r.squared_distance) - exact_distance2(p, p, seg.start, seg.end)) <= 8 * EPS
+        # a partner across the line through 2d, perpendicular to d: the segment
+        # comes closest at its end, s = 1
         n = np.cross(d, (0.0, 0.0, 1.0))
         n /= np.linalg.norm(n)
         other = Segment(2 * np.array(d) + n, 2 * np.array(d) - n)
-        assert (center_dist_fc(seg, other).s1 == 0.0) == degenerate
-        assert (center_dist_fc(other, seg).s2 == 0.0) == degenerate
+        first, second = center_dist_fc(seg, other), center_dist_fc(other, seg)
+        assert (first.s1, first.q1) == (1.0, seg.end)
+        assert (second.s2, second.q2) == (1.0, seg.end)
+        exact = exact_distance2(seg.start, seg.end, other.start, other.end)
+        m = max(1.0, *map(abs, other.start + other.end))
+        for r in (first, second):
+            assert abs(Fraction(r.squared_distance) - exact) <= 8 * EPS * m * m
 
     def test_start_clamp(self):
         r = center_dist_fb((0, 0, 0), Segment((0, 0, 65), (0, 0, 130)))
@@ -420,10 +432,11 @@ def segment_pair_families(rng) -> dict:
     twist = rng.uniform(-1e3, 1e3, (n, 3)) * rng.choice([1e-12, 1e-9, 1e-6, 1e-4], (n, 1))
     b2 = a2 + rng.uniform(-2.0, 2.0, (n, 1)) * d + twist
     fams["near-parallel"] = as_quads(np.stack([a1, a1 + d, a2, b2], axis=1))
-    # lengths around the DEGENERACY_EPS2 cut, against short or long partners
+    # zero lengths and lengths around the old kernels' DEGENERACY_EPS2, against
+    # short or long partners
     n = 5000
     ends = rng.uniform(-1e2, 1e2, (n, 4, 3))
-    short = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([1e-7, 1e-6, 2e-6, 1e-5, 1e-3], (n, 1))
+    short = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([0.0, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3], (n, 1))
     ends[:, 1] = ends[:, 0] + short
     ends[: n // 2, 3] = ends[: n // 2, 2] + short[n // 2:]
     fams["short"] = as_quads(ends)
@@ -460,36 +473,39 @@ def near_parallel_links(rng, n) -> list:
 
 def fc_branches(a1, b1, a2, b2, s2) -> tuple:
     """The branches of fc's chain a pair takes: how s1 starts, one solve or
-    two (from the returned s2), and det <= 0 when rounding makes it so."""
+    two (from the returned s2), det <= 0 when rounding makes it so, and
+    whether an axis has zero length or is "sub-micron": 0 < |d|^2 below the
+    old kernels' DEGENERACY_EPS2, so shorter than 1e-6 mm."""
     _, _, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
-    if a < DEGENERACY_EPS2 or c < DEGENERACY_EPS2:
-        return ("degenerate",)
     det, num = a * c - b * b, b * e - c * d
     start = "s1 = 0" if num <= 0.0 else "s1 = 1" if det <= num else "s1 free"
     solves = "one solve" if 0.0 < s2 < 1.0 else "two solves"
-    return (start, solves, "det <= 0") if det <= 0.0 else (start, solves)
+    tags = [start, solves]
+    if det <= 0.0:
+        tags.append("det <= 0")
+    if a == 0.0 or c == 0.0:
+        tags.append("zero-length")
+    if 0.0 < a < DEGENERACY_EPS2 or 0.0 < c < DEGENERACY_EPS2:
+        tags.append("sub-micron")
+    return tuple(tags)
 
 
 class TestClampAndRecompute:
     """fc's one clamp chain stays within 8*eps*M^2 of the exact minimum,
-    M = max(1, max |coordinate|), on every family but `short`, whose lengths
-    straddle DEGENERACY_EPS2: there it returns exactly what the four-edge
-    search did.  8*eps*M^2 is a test tolerance, not a derived error bound."""
+    M = max(1, max |coordinate|), on every family, zero-length and sub-micron
+    axes included.  8*eps*M^2 is a test tolerance, not a derived error bound."""
 
     def test_within_eight_eps_of_exact_on_every_branch(self):
         rng = np.random.default_rng(91)
         branches = dict.fromkeys(
             ("s1 = 0", "s1 = 1", "s1 free", "one solve", "two solves", "det <= 0",
-             "degenerate"), 0)
+             "zero-length", "sub-micron"), 0)
         total, differ = 0, []
         for family, quads in segment_pair_families(rng).items():
             for ends in quads:
                 got = fc(*ends)
-                if family == "short":
-                    ok = got == four_edge_fc(*ends)
-                else:
-                    m = max(1.0, *(abs(x) for p in ends for x in p))
-                    ok = abs(Fraction(got[0]) - exact_distance2(*ends)) <= 8 * 2.0**-52 * m * m
+                m = max(1.0, *(abs(x) for p in ends for x in p))
+                ok = abs(Fraction(got[0]) - exact_distance2(*ends)) <= 8 * EPS * m * m
                 if not ok:
                     differ.append((family, ends))
                 for branch in fc_branches(*ends, got[2]):
@@ -593,11 +609,11 @@ class TestClampEdges:
 class TestKernelPin:
     """A sha256 over the repr of every field fa, fb and fc return, floats and
     witness coordinates, on the fc families and on point-segment triples.
-    The digest was last taken when fc became one clamp chain with no
-    parallel test, and the near-parallel crossing family joined the fc
-    families."""
+    The digest was last taken when the degeneracy cut-off left fb and fc
+    (sub-micron axes are segments now) and the short family gained
+    zero-length axes."""
 
-    DIGEST = "a4b1b70585d66c86a413e06b90e9968dfdc9b98c13ee33d604e904d1b931b475"
+    DIGEST = "15605836555f16a0627e5dde25bb6323f7c622ce8703c84d11f4b4259050e447"
 
     def test_every_returned_field_is_pinned(self):
         rng = np.random.default_rng(95)
@@ -654,6 +670,36 @@ class TestShortSegments:
         c1, c2 = Capsule(seg1, 0.5), Capsule(seg2, 0.5)
         assert components_collide(c1, c2)[0]
         assert robots_collide(RobotModel("a", (c1,)), RobotModel("b", (c2,))).verdict
+
+
+class TestUnderflowingAxes:
+    """Axes with every coordinate at most 1e-155 in magnitude have a |d|^2
+    that is subnormal or underflows to 0 while d != 0.  fb and fc run their
+    ordinary branches on them, in both argument orders, divide only when
+    0 < numerator < denominator, and stay within 8*eps*M^2 of the exact
+    minimum."""
+
+    def test_chain_stays_finite_and_exact(self):
+        rng = np.random.default_rng(97)
+        n = 2000
+        tiny = rng.uniform(-1.0, 1.0, (n, 2, 3)) * 10.0 ** -rng.integers(155, 324, (n, 1, 1))
+        partner = rng.uniform(-1.0, 1.0, (n, 2, 3))
+        partner[: n // 2] *= 10.0 ** -rng.integers(155, 324, (n // 2, 1, 1))
+        for a1, b1, a2, b2 in as_quads(np.concatenate([tiny, partner], axis=1)):
+            u = _sub(b1, a1)
+            assert u != (0.0, 0.0, 0.0) and _dot(u, u) < sys.float_info.min
+            m = max(1.0, *map(abs, a1 + b1 + a2 + b2))
+            for p in (a2, b2):
+                for ends in ((a1, b1), (b1, a1)):
+                    sq, s, q = fb(p, *ends)
+                    assert all(map(math.isfinite, (sq, *q))) and 0.0 <= s <= 1.0
+                    assert abs(Fraction(sq) - exact_distance2(p, p, *ends)) <= 8 * EPS * m * m
+            exact = exact_distance2(a1, b1, a2, b2)
+            for got in (fc(a1, b1, a2, b2), fc(a2, b2, a1, b1)):
+                sq, s1, s2, q1, q2 = got
+                assert all(map(math.isfinite, (sq, *q1, *q2)))
+                assert 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0
+                assert abs(Fraction(sq) - exact) <= 8 * EPS * m * m
 
 
 class TestConformalIdentityIsExact:

@@ -9,7 +9,7 @@ import pytest
 from cgacollide.cga import Multivector
 from cgacollide import primitives
 from cgacollide.collision import components_collide, contains
-from cgacollide.distance import DEGENERACY_EPS2, center_dist_fb, center_dist_fc
+from cgacollide.distance import center_dist_fb, center_dist_fc
 from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
     MAX_MM,
@@ -254,26 +254,27 @@ class TestCapsule:
 
     def test_nondegenerate_has_no_ball_reduction(self):
         caps = Capsule(Segment((0, 0, 0), (0, 0, 1)), 3.0)
-        dx, dy, dz = caps.axis.direction
-        assert not dx * dx + dy * dy + dz * dz < DEGENERACY_EPS2
         assert center_dist_fb((0, 0, 2), caps.axis).s2 == 1.0
         assert contains(caps, (0, 0, 3.5))
         assert not contains(ClosedBall(caps.axis.start, caps.radius), (0, 0, 3.5))
 
-    def test_below_epsilon_treated_as_point(self):
-        # an axis whose |d|^2, summed x + y + z as the kernels sum it, is below
-        # DEGENERACY_EPS2 takes the kernels' point branches: its start stands for it
-        start = np.array([1.0, 1.0, 1.0])
-        caps = Capsule(Segment(start, start + 1e-15), 3.0)
-        dx, dy, dz = caps.axis.direction
-        assert dx * dx + dy * dy + dz * dz < DEGENERACY_EPS2
-        r = center_dist_fb((1.0, 1.0, 5.0), caps.axis)
-        assert (r.s2, r.q2) == (0.0, caps.axis.start)
-        other = Segment((-1.0, 1.0, 5.0), (3.0, 1.0, 5.0))
+    def test_sub_micron_axis_is_a_segment(self):
+        # a 9e-7 mm axis (|d|^2 = 8.1e-13 mm^2) is a segment, not its start
+        # point: a ball 2.0000005 mm above the start lies 1.9999996 mm from the
+        # end, inside the radius sum 2.  A cut-off at |d|^2 < 1e-12 once took
+        # the axis for its start and reported squared 4, "separate"
+        caps = Capsule(Segment((0, 0, 0), (0, 0, 0.0000009)), 1.0)
+        ball = ClosedBall((0, 0, 2.0000005), 1.0)
+        r = center_dist_fb(ball.center, caps.axis)
+        assert (r.s2, r.q2) == (1.0, caps.axis.end)
+        assert r.squared_distance < 4.0
+        assert components_collide(caps, ball)[0] and components_collide(ball, caps)[0]
+        other = Segment((-1.0, 0.0, 2.0000005), (3.0, 0.0, 2.0000005))
         first, second = center_dist_fc(caps.axis, other), center_dist_fc(other, caps.axis)
-        assert (first.s1, first.q1) == (0.0, caps.axis.start)
-        assert (second.s2, second.q2) == (0.0, caps.axis.start)
-        assert first.squared_distance == center_dist_fb(caps.axis.start, other).squared_distance
+        assert (first.s1, first.q1) == (1.0, caps.axis.end)
+        assert (second.s2, second.q2) == (1.0, caps.axis.end)
+        assert first.squared_distance == r.squared_distance
+        assert components_collide(caps, Capsule(other, 1.0))[0]
 
     def test_degenerate_capsule_equals_ball_membership(self):
         rng = np.random.default_rng(21)
