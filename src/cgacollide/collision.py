@@ -7,7 +7,8 @@ sets, so touching boundaries intersect.  Membership is the same rule, bit for
 bit: x lies in a component iff the zero-radius ball at x collides with it.
 
 Two robots collide iff some component pair collides; the report enumerates
-every pair in lexicographic (i, j) order as audit evidence.
+every pair in lexicographic (i, j) order as audit evidence.  _record is the
+pipeline's conformal-embedding stage: each component enters it once per check.
 """
 
 from __future__ import annotations
@@ -17,34 +18,45 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterator, NamedTuple, Union
 
-from .distance import fa, fb, fc
+from .distance import fb, fc
 from .primitives import Capsule, ClosedBall
 
 _KINDS = (ClosedBall, Capsule)  # the isinstance form of Component
 Component = Union[_KINDS]
 
 
-def _centers(c: Component) -> tuple:
-    """(start, end or None for a ball, radius) of a component, as floats."""
+def _record(c: Component) -> tuple:
+    """(start, end, radius, h); a ball's end is None and h the e-inf coefficient of point(c)."""
     if isinstance(c, ClosedBall):
-        return c.center, None, c.radius
-    return c.axis.start, c.axis.end, c.radius
+        x, y, z = p = c.center
+        return p, None, c.radius, 0.5 * (x * x + y * y + z * z)
+    return c.axis.start, c.axis.end, c.radius, 0.0
 
 
 def _pair_checks(comps1, comps2) -> Iterator[tuple]:
     """The one dispatch path: (i, j, squared distance, squared threshold,
-    colliding) in lexicographic (i, j) order.  Components become float
-    triples once per call, not per pair; the consumer decides when to stop."""
-    flat2 = list(map(_centers, comps2))
-    for i, (p1, e1, r1) in enumerate(map(_centers, comps1)):
-        for j, (p2, e2, r2) in enumerate(flat2):
-            if e1 is None:
-                sq = fa(p1, p2) if e2 is None else fb(p1, p2, e2)[0]
-            else:
+    colliding) in lexicographic (i, j) order; the consumer decides when to stop.
+    A ball pair is fa on the records, summed and swapped as fa does, bit for bit."""
+    flat2 = list(map(_record, comps2))
+    for i, (p1, e1, r1, h1) in enumerate(map(_record, comps1)):
+        if e1 is None:
+            x1, y1, z1 = p1
+            for j, (p2, e2, r2, h2) in enumerate(flat2):
+                if e2 is None:
+                    x2, y2, z2 = p2
+                    dot = x1 * x2 + y1 * y2 + z1 * z2
+                    sq = 2.0 * abs((dot - h1) - h2 if p2 < p1 else (dot - h2) - h1)
+                else:
+                    sq = fb(p1, p2, e2)[0]
+                rsum = r1 + r2
+                threshold = rsum * rsum
+                yield i, j, sq, threshold, sq <= threshold
+        else:
+            for j, (p2, e2, r2, _) in enumerate(flat2):
                 sq = fb(p2, p1, e1)[0] if e2 is None else fc(p1, e1, p2, e2)[0]
-            rsum = r1 + r2
-            threshold = rsum * rsum
-            yield i, j, sq, threshold, sq <= threshold
+                rsum = r1 + r2
+                threshold = rsum * rsum
+                yield i, j, sq, threshold, sq <= threshold
 
 
 def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:

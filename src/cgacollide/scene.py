@@ -35,7 +35,10 @@ class Scene:
     robots: tuple[RobotModel, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "robots", tuple(self.robots))
+        try:
+            object.__setattr__(self, "robots", tuple(self.robots))
+        except TypeError:
+            raise SceneError(f"scene robots must be iterable, got {self.robots!r}") from None
         if not self.robots:
             raise SceneError("no robots")
         if not all(isinstance(r, RobotModel) for r in self.robots):

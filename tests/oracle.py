@@ -25,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from cgacollide.collision import Component, RobotModel, _centers
+from cgacollide.collision import Component, RobotModel
 from cgacollide.distance import fa, fb
-from cgacollide.primitives import Segment, Vec
+from cgacollide.primitives import ClosedBall, Segment, Vec
 
 _EQUAL_TOL = 1e-12
 
@@ -38,6 +38,13 @@ PARALLEL_EPS = 1e-10
 # The old kernels' cut-off on a segment's |d|^2 (mm^2, summed x + y + z),
 # below which they took the segment for its start point.
 DEGENERACY_EPS2 = 1e-12
+
+
+def _centers(c: Component) -> tuple:
+    """(start, end or None for a ball, radius) of a component."""
+    if isinstance(c, ClosedBall):
+        return c.center, None, c.radius
+    return c.axis.start, c.axis.end, c.radius
 
 
 def _sub(x, y) -> tuple:

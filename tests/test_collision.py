@@ -14,6 +14,7 @@ from cgacollide.collision import (
     robots_collide,
     robots_collide_any,
 )
+from cgacollide.distance import fa, fb, fc
 from oracle import components_equal, exact_component_distance2, robots_equal
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import load_table3
@@ -386,6 +387,74 @@ class TestRobotsCollide:
             check(r1, r2, skip_adjacent=True)
 
 
+def kernel_squared_distance(a, b) -> float:
+    """The one kernel call for a component pair, in robots_collide's argument order."""
+    if isinstance(a, ClosedBall):
+        if isinstance(b, ClosedBall):
+            return fa(a.center, b.center)
+        return fb(a.center, b.axis.start, b.axis.end)[0]
+    if isinstance(b, ClosedBall):
+        return fb(b.center, a.axis.start, a.axis.end)[0]
+    return fc(a.axis.start, a.axis.end, b.axis.start, b.axis.end)[0]
+
+
+def ball_arm(rng, base) -> RobotModel:
+    """32 balls shaped like spheres-verdict's arms: one at the base, five along
+    each of six links (65, 65, 35, 35, 45, 45 mm, random directions, r 15) and
+    an end effector (r 16)."""
+    balls, p = [ClosedBall(base, 15.0)], np.array(base, dtype=float)
+    for length in (65.0, 65.0, 35.0, 35.0, 45.0, 45.0):
+        d = rng.normal(size=3)
+        q = p + length * d / np.linalg.norm(d)
+        balls += [ClosedBall(p + (k / 5) * (q - p), 15.0) for k in range(1, 6)]
+        p = q
+    return RobotModel("arm", (*balls, ClosedBall(p, 16.0)))
+
+
+class TestDispatchIsTheKernels:
+    """The pair loop's squared distances are the kernels' own, bit for bit."""
+
+    # centres whose tuples compare equal across a sign of zero
+    SIGNED_ZEROS = ((0.0, 5.0, -3.0), (-0.0, 5.0, -3.0), (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0))
+
+    def mixed_robot(self, rng, pool, name) -> RobotModel:
+        def centre():
+            return pool[int(rng.integers(len(pool)))]
+        comps = [ClosedBall(centre(), float(rng.uniform(0, 20))) if rng.random() < 0.6
+                 else Capsule(Segment(centre(), centre()), float(rng.uniform(0, 20)))
+                 for _ in range(8)]
+        return RobotModel(name, tuple(comps))
+
+    def test_squared_distances_are_the_kernel_calls(self):
+        rng = np.random.default_rng(241)
+        kinds, orders = set(), set()
+        for scale in (1.0, 1e3, 1e5):
+            pool = [tuple(rng.uniform(-scale, scale, 3).tolist()) for _ in range(12)]
+            pool += list(self.SIGNED_ZEROS)
+            for _ in range(40):
+                r1 = self.mixed_robot(rng, pool, "r1")
+                r2 = self.mixed_robot(rng, pool, "r2")
+                for x, y in ((r1, r2), (r2, r1)):
+                    for p in robots_collide(x, y).pairs:
+                        a, b = x.components[p.i], y.components[p.j]
+                        assert repr(p.squared_distance) == repr(kernel_squared_distance(a, b))
+                        kinds.add((type(a), type(b)))
+                        if isinstance(a, ClosedBall) and isinstance(b, ClosedBall):
+                            orders.add((b.center > a.center) - (b.center < a.center))
+        assert len(kinds) == 4 and orders == {-1, 0, 1}
+
+    def test_early_exit_is_the_first_colliding_pair_on_ball_arms(self):
+        rng = np.random.default_rng(242)
+        verdicts = []
+        for _ in range(60):
+            r1, r2 = ball_arm(rng, (0.0, 0.0, 0.0)), ball_arm(rng, (0.0, 80.0, 0.0))
+            for x, y in ((r1, r2), (r2, r1)):
+                hit = robots_collide_any(x, y)
+                assert hit == next((p for p in robots_collide(x, y).pairs if p.colliding), None)
+                verdicts.append(hit is not None)
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
 # Test-only helpers, unused carriers and second spellings of one operation that
 # left the package for tests/oracle.py or for good; none may come back as a public
 # or private attribute.
@@ -396,7 +465,7 @@ REMOVED_NAMES = (
     "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
     "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
     "capsule_degenerate_as_ball", "balls_collide", "ball_capsule_collide", "capsules_collide",
-    "iter_pair_checks", "PARALLEL_EPS", "DEGENERACY_EPS2",
+    "iter_pair_checks", "PARALLEL_EPS", "DEGENERACY_EPS2", "_centers",
 )
 
 

@@ -106,6 +106,11 @@ class TestParse:
         with pytest.raises(SceneError, match="RobotModel"):
             Scene(robots)
 
+    @pytest.mark.parametrize("robots", [5, None, 1.5], ids=["int", "none", "float"])
+    def test_non_iterable_robots_rejected(self, robots):
+        with pytest.raises(SceneError, match="iterable"):
+            Scene(robots)
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# heading\n\nrobot r  # trailing\n  ball 0 0 0 1\n\n"
         scene = parse_scene(text)
