@@ -19,7 +19,7 @@ from itertools import starmap
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .distance import fb, fc
-from .primitives import Capsule, ClosedBall
+from .primitives import _UNORDERED, Capsule, ClosedBall
 
 _KINDS = (ClosedBall, Capsule)  # the isinstance form of Component
 Component = Union[_KINDS]
@@ -100,6 +100,8 @@ class RobotModel:
         if not isinstance(self.name, str):
             raise ValueError(f"robot name must be text, got {self.name!r}")
         try:
+            if isinstance(self.components, _UNORDERED):
+                raise TypeError
             object.__setattr__(self, "components", tuple(self.components))
         except TypeError:
             raise ValueError(f"robot {self.name!r}: components must be iterable") from None
@@ -128,6 +130,8 @@ class CollisionReport:
 
     def __post_init__(self):
         try:
+            if isinstance(self.pairs, _UNORDERED):
+                raise TypeError
             object.__setattr__(self, "pairs", tuple(self.pairs))
         except TypeError:
             raise ValueError(f"report pairs must be iterable, got {self.pairs!r}") from None

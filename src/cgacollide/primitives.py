@@ -20,6 +20,7 @@ from dataclasses import dataclass
 MAX_MM = 1e50
 
 Vec = tuple[float, float, float]
+_UNORDERED = (set, frozenset, dict)  # iterables whose order the caller did not write
 
 
 def _scalar(v, what: str) -> float:
@@ -42,7 +43,7 @@ def _reals(values, n: int, what: str) -> tuple:
     """n floats from a sized sequence of n reals, each by _scalar's rule; text, sets,
     dicts, iterators, generators and arrays of another shape are a ValueError."""
     try:
-        if (isinstance(values, (str, bytes, set, frozenset, dict))
+        if (isinstance(values, (str, bytes, _UNORDERED))
                 or getattr(values, "ndim", 1) != 1 or len(values) != n):
             raise TypeError
     except TypeError:  # len() of an iterator or generator, too

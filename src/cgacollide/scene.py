@@ -7,9 +7,12 @@ Format, one record per line; '#' starts a comment, blank lines are ignored:
     ball <cx> <cy> <cz> <r>
 
 Component lines attach to the most recent robot, indexed from 0.  All
-numbers are decimal millimeters.  Serialization writes the shortest decimal
-that round-trips, so parse(serialize(scene)) reproduces every number
-bit-exactly.
+numbers are decimal millimeters.  parse_scene reads in two passes: every
+line (syntax, numbers, primitives, duplicate names), then every robot
+(RobotModel's rules, at the robot's line).  So line errors come first, in
+line order, and model errors follow, in robot order.  Serialization writes
+the shortest decimal that round-trips, so parse(serialize(scene))
+reproduces every number bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .collision import Component, RobotModel
-from .primitives import Capsule, ClosedBall, Segment
+from .primitives import _UNORDERED, Capsule, ClosedBall, Segment
 
 
 class SceneError(ValueError):
@@ -36,6 +39,8 @@ class Scene:
 
     def __post_init__(self):
         try:
+            if isinstance(self.robots, _UNORDERED):
+                raise TypeError
             object.__setattr__(self, "robots", tuple(self.robots))
         except TypeError:
             raise SceneError(f"scene robots must be iterable, got {self.robots!r}") from None
@@ -63,22 +68,9 @@ _ARITY = {"capsule": 7, "ball": 4}
 
 
 def parse_scene(text: str) -> Scene:
-    """Parse scene text into a Scene.  Only syntax is checked here; the
-    primitives' ValueErrors come back as SceneError with the line number."""
-    robots: list[RobotModel] = []
-    seen_names: set[str] = set()
-    current_name: str | None = None
-    current_line = 0
-    current_components: list[Component] = []
-
-    def flush():
-        if current_name is None:
-            return
-        try:
-            robots.append(RobotModel(current_name, tuple(current_components)))
-        except ValueError as exc:
-            raise SceneError(str(exc), current_line) from None
-
+    """Parse scene text into a Scene, in the module's two passes; the
+    primitives' and models' ValueErrors come back as SceneError at their line."""
+    robots: dict[str, tuple[int, list[Component]]] = {}  # name -> (robot line, components)
     # End lines only where a text-mode read does; splitlines() also ends them at \f, U+2028 etc.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -86,26 +78,21 @@ def parse_scene(text: str) -> Scene:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
+        kind, *args = line.split()
         if kind == "robot":
             if len(args) != 1:
                 raise SceneError("robot line takes exactly one name", lineno)
-            if args[0] in seen_names:
+            if args[0] in robots:
                 raise SceneError(f"duplicate robot name {args[0]!r}", lineno)
-            flush()
-            seen_names.add(args[0])
-            current_name = args[0]
-            current_line = lineno
-            current_components = []
+            robots[args[0]] = lineno, []
         elif kind in _ARITY:
-            if current_name is None:
+            if not robots:
                 raise SceneError("component before any robot line", lineno)
             if len(args) != _ARITY[kind]:
                 raise SceneError(f"{kind} takes {_ARITY[kind]} numbers, got {len(args)}", lineno)
             v = _parse_floats(args, lineno)
             try:
-                current_components.append(
+                next(reversed(robots.values()))[1].append(  # the latest robot's list
                     ClosedBall(v[:3], v[3]) if kind == "ball"
                     else Capsule(Segment(v[:3], v[3:6]), v[6])
                 )
@@ -114,8 +101,13 @@ def parse_scene(text: str) -> Scene:
         else:
             raise SceneError(f"unknown record {kind!r}", lineno)
 
-    flush()
-    return Scene(tuple(robots))
+    models = []
+    for name, (lineno, components) in robots.items():
+        try:
+            models.append(RobotModel(name, components))
+        except ValueError as exc:
+            raise SceneError(str(exc), lineno) from None
+    return Scene(models)
 
 
 def serialize_scene(scene: Scene) -> str:

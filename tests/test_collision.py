@@ -237,9 +237,13 @@ class TestRobotModel:
             (7, (ClosedBall((0, 0, 0), 1.0),)),
             ("a", None),
             ("a", 5),
+            ("a", {ClosedBall((0, 0, 0), 1.0), ClosedBall((5, 0, 0), 1.0)}),
+            ("a", frozenset({ClosedBall((0, 0, 0), 1.0)})),
+            ("a", {ClosedBall((0, 0, 0), 1.0): None}),
         ],
         ids=["text-components", "bare-segment", "bare-triple", "no-name", "int-name",
-             "no-components", "int-components"],
+             "no-components", "int-components", "set-components", "frozenset-components",
+             "dict-components"],
     )
     def test_malformed_robot_rejected_at_construction(self, name, components):
         with pytest.raises(ValueError):
@@ -295,7 +299,12 @@ class TestRobotsCollide:
         assert not report.verdict
         assert hash(report) == hash(CollisionReport((miss,)))
 
-    @pytest.mark.parametrize("pairs", [5, None, 1.5], ids=["int", "none", "float"])
+    @pytest.mark.parametrize(
+        "pairs",
+        [5, None, 1.5, {PairCheck(0, 0, 0.0, 1.0, True)},
+         frozenset({PairCheck(0, 0, 0.0, 1.0, True)}), {PairCheck(0, 0, 0.0, 1.0, True): None}],
+        ids=["int", "none", "float", "set", "frozenset", "dict"],
+    )
     def test_non_iterable_pairs_rejected(self, pairs):
         with pytest.raises(ValueError):
             CollisionReport(pairs)

@@ -97,6 +97,18 @@ class TestParse:
             parse_scene("robot a\nrobot b\nball 0 0 0 1\n")
         assert exc.value.line == 1
 
+    def test_last_robot_without_components(self):
+        with pytest.raises(SceneError, match="no components") as exc:
+            parse_scene("robot a\nball 0 0 0 1\nrobot b\n")
+        assert exc.value.line == 3
+
+    def test_line_errors_come_before_model_errors(self):
+        # every line is read before any robot is built, so the unknown record
+        # on line 4 wins over robot a's missing components on line 1
+        with pytest.raises(SceneError, match="unknown record 'cylinder'") as exc:
+            parse_scene("robot a\nrobot b\nball 0 0 0 1\ncylinder 1 2 3\n")
+        assert exc.value.line == 4
+
     @pytest.mark.parametrize(
         "robots",
         [("x", "y"), (RobotModel("a", (ClosedBall((0, 0, 0), 1.0),)), 5)],
@@ -106,7 +118,13 @@ class TestParse:
         with pytest.raises(SceneError, match="RobotModel"):
             Scene(robots)
 
-    @pytest.mark.parametrize("robots", [5, None, 1.5], ids=["int", "none", "float"])
+    @pytest.mark.parametrize(
+        "robots",
+        [5, None, 1.5, {RobotModel("a", (ClosedBall((0, 0, 0), 1.0),))},
+         frozenset({RobotModel("a", (ClosedBall((0, 0, 0), 1.0),))}),
+         {RobotModel("a", (ClosedBall((0, 0, 0), 1.0),)): None}],
+        ids=["int", "none", "float", "set", "frozenset", "dict"],
+    )
     def test_non_iterable_robots_rejected(self, robots):
         with pytest.raises(SceneError, match="iterable"):
             Scene(robots)
