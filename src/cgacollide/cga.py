@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 from typing import Iterable
@@ -118,6 +119,7 @@ def _product(a: tuple, b: tuple, kind: str) -> list:
     return out
 
 
+@dataclass(frozen=True, init=False)
 class Multivector:
     """Immutable element of the 5D conformal algebra (32 blade coefficients).
 
@@ -127,7 +129,7 @@ class Multivector:
     coefficient that overflows to inf or NaN is an OverflowError.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[float, ...]
 
     def __init__(self, coeffs):
         """coeffs: 32 finite real numbers in blade order, by primitives._reals' rule."""
@@ -142,9 +144,6 @@ class Multivector:
         mv = object.__new__(cls)
         object.__setattr__(mv, "coeffs", tuple(values))
         return mv
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
 
     # --- linear structure ------------------------------------------------
     def __add__(self, other):
@@ -195,19 +194,8 @@ class Multivector:
     def scalar(self) -> float:
         return self.coeffs[0]
 
-    def norm_inf(self) -> float:
-        return max(map(abs, self.coeffs))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm_inf() <= tol
-
-    def __eq__(self, other):
-        if isinstance(other, Multivector):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)  # hash(-0.0) == hash(0.0): equal means equal hash
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)  # -0.0 is falsy, and no coefficient is NaN
 
     def __repr__(self):
         terms = [f"{c:g}*{name}" if mask else f"{c:g}"

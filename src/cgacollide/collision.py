@@ -19,7 +19,7 @@ from itertools import starmap
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .distance import fb, fc
-from .primitives import _UNORDERED, Capsule, ClosedBall
+from .primitives import Capsule, ClosedBall, _ordered
 
 _KINDS = (ClosedBall, Capsule)  # the isinstance form of Component
 Component = Union[_KINDS]
@@ -99,16 +99,10 @@ class RobotModel:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"robot name must be text, got {self.name!r}")
-        try:
-            if isinstance(self.components, _UNORDERED):
-                raise TypeError
-            object.__setattr__(self, "components", tuple(self.components))
-        except TypeError:
-            raise ValueError(f"robot {self.name!r}: components must be iterable") from None
+        components = _ordered(self.components, _KINDS, f"robot {self.name!r}")
+        object.__setattr__(self, "components", components)
         if not self.components:
             raise ValueError(f"robot {self.name!r} has no components")
-        if not all(isinstance(c, _KINDS) for c in self.components):
-            raise ValueError(f"robot {self.name!r}: every component must be a ball or capsule")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -129,14 +123,7 @@ class CollisionReport:
     pairs: tuple[PairCheck, ...]
 
     def __post_init__(self):
-        try:
-            if isinstance(self.pairs, _UNORDERED):
-                raise TypeError
-            object.__setattr__(self, "pairs", tuple(self.pairs))
-        except TypeError:
-            raise ValueError(f"report pairs must be iterable, got {self.pairs!r}") from None
-        if not all(isinstance(p, PairCheck) for p in self.pairs):
-            raise ValueError(f"report pairs must be PairChecks, got {self.pairs!r}")
+        object.__setattr__(self, "pairs", _ordered(self.pairs, PairCheck, "report pairs"))
 
     @property
     def verdict(self) -> bool:
@@ -144,13 +131,19 @@ class CollisionReport:
         return any(p.colliding for p in self.pairs)
 
 
+def _robot_checks(r1: RobotModel, r2: RobotModel) -> Iterator[tuple]:
+    """_pair_checks of two robots' components; anything but a RobotModel is a ValueError."""
+    if not (isinstance(r1, RobotModel) and isinstance(r2, RobotModel)):
+        raise ValueError(f"expected RobotModels, got {type(r1).__name__} and {type(r2).__name__}")
+    return _pair_checks(r1.components, r2.components)
+
+
 def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
     """Check every component pair, none skipped, and report complete evidence."""
-    return CollisionReport(starmap(PairCheck, _pair_checks(r1.components, r2.components)))
+    return CollisionReport(starmap(PairCheck, _robot_checks(r1, r2)))
 
 
 def robots_collide_any(r1: RobotModel, r2: RobotModel) -> PairCheck | None:
     """The first colliding pair in (i, j) order, or None; stops there, so its
     truthiness is the verdict."""
-    hit = next((p for p in _pair_checks(r1.components, r2.components) if p[4]), None)
-    return None if hit is None else PairCheck(*hit)
+    return next(starmap(PairCheck, filter(operator.itemgetter(4), _robot_checks(r1, r2))), None)

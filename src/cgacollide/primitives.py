@@ -51,6 +51,19 @@ def _reals(values, n: int, what: str) -> tuple:
     return tuple(_scalar(v, what) for v in values)
 
 
+def _ordered(values, kind, what: str, error=ValueError) -> tuple:
+    """values' entries as a tuple, in the caller's order; a non-iterable, a set, frozenset or
+    dict (whose order the caller did not write) or an entry that is not a kind is an error."""
+    try:
+        entries = tuple(values)
+        if isinstance(values, _UNORDERED) or not all(isinstance(v, kind) for v in entries):
+            raise TypeError
+    except TypeError:
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{what} must be an ordered iterable of {names}, got {values!r}") from None
+    return entries
+
+
 def as_triple(p) -> Vec:
     """p as three finite floats within MAX_MM, by _reals' rule; else ValueError."""
     if type(p) in (tuple, list) and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .collision import Component, RobotModel
-from .primitives import _UNORDERED, Capsule, ClosedBall, Segment
+from .primitives import Capsule, ClosedBall, Segment, _ordered
 
 
 class SceneError(ValueError):
@@ -38,16 +38,9 @@ class Scene:
     robots: tuple[RobotModel, ...]
 
     def __post_init__(self):
-        try:
-            if isinstance(self.robots, _UNORDERED):
-                raise TypeError
-            object.__setattr__(self, "robots", tuple(self.robots))
-        except TypeError:
-            raise SceneError(f"scene robots must be iterable, got {self.robots!r}") from None
+        object.__setattr__(self, "robots", _ordered(self.robots, RobotModel, "scene", SceneError))
         if not self.robots:
             raise SceneError("no robots")
-        if not all(isinstance(r, RobotModel) for r in self.robots):
-            raise SceneError("every robot must be a RobotModel")
         names = [r.name for r in self.robots]
         if len(set(names)) != len(names):
             raise SceneError(f"duplicate robot name in {names}")

@@ -390,6 +390,20 @@ class TestRobotsCollide:
         assert len(seen) == len(r1) * len(r2)
 
     @pytest.mark.parametrize("check", [robots_collide, robots_collide_any])
+    @pytest.mark.parametrize("other", [
+        lambda scene: scene.robots[1].components,
+        lambda scene: scene,
+        lambda scene: None,
+    ], ids=["components", "scene", "none"])
+    def test_non_robot_rejected(self, check, other):
+        # a tuple of components was once read as a robot and raised AttributeError
+        scene = load_table3()
+        with pytest.raises(ValueError, match="RobotModel"):
+            check(scene.robots[0], other(scene))
+        with pytest.raises(ValueError, match="RobotModel"):
+            check(other(scene), scene.robots[0])
+
+    @pytest.mark.parametrize("check", [robots_collide, robots_collide_any])
     def test_no_pair_filter_option(self, check):
         r1, r2 = load_table3().robots
         with pytest.raises(TypeError):

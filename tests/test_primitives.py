@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -6,10 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgacollide.cga import Multivector
+from cgacollide.cga import Multivector, mbasis, zero
 from cgacollide import primitives
-from cgacollide.collision import components_collide, contains
+from cgacollide.collision import (
+    CollisionReport,
+    PairCheck,
+    RobotModel,
+    components_collide,
+    contains,
+    robots_collide,
+)
 from cgacollide.distance import center_dist_fb, center_dist_fc
+from cgacollide.scene import Scene, load_table3
 from cgacollide.objects import point, sphere
 from cgacollide.primitives import (
     MAX_MM,
@@ -348,3 +358,34 @@ def test_primitives_import_nothing_from_the_package():
     modules = [n.module for n in nodes if isinstance(n, ast.ImportFrom)]
     modules += [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
     assert [m for m in modules if m.split(".")[0] == "cgacollide"] == []
+
+
+def test_the_collection_rule_lives_in_primitives():
+    # _ordered and _reals are the one home of the set/frozenset/dict rule
+    for path in sorted(Path(primitives.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert ("_UNORDERED" in names) == (path.name == "primitives.py"), path.name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mbasis({1, 5}) + 2.5 * mbasis(),
+    lambda: -zero(),
+    lambda: ClosedBall((1, 2, 3), 4),
+    lambda: Segment((1, 2, 3), (4, 5, 6)),
+    lambda: Capsule(Segment((1, 2, 3), (4, 5, 6)), 0.5),
+    lambda: load_table3().robots[0],
+    lambda: PairCheck(0, 1, 4.0, 1.0, False),
+    lambda: robots_collide(*load_table3().robots),
+    lambda: load_table3(),
+    lambda: center_dist_fc(Segment((0, 0, 0), (1, 0, 0)), Segment((0, 1, 1), (1, 1, 1))),
+], ids=["multivector", "signed-zero-multivector", "ball", "segment", "capsule", "robot",
+        "pair-check", "report", "scene", "closest-pair"])
+def test_value_types_copy_and_pickle(build):
+    value = build()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
