@@ -1,21 +1,24 @@
 """Shortest-distance kernels between ball centers and capsule axes.
 
-All distances are SQUARED (mm^2): every collision threshold downstream
-compares against a squared radius sum.  Use math.sqrt(...) or
-ClosestPair.distance when a plain distance is needed for reporting.
+All distances are SQUARED (mm^2), as every collision threshold is a squared
+radius sum; ClosestPair.distance or math.sqrt gives a plain one for reports.
 
 fa(p, q)            squared distance between two points
 fb(p, a, b)         squared distance from a point to the segment a -> b
 fc(a1, b1, a2, b2)  squared distance between two segments
 
 fa is the paper's |p - q|^2 = -2 * point(p)|point(q) in closed form,
-P|Q = (p.q - 0.5*|q|^2) - 0.5*|p|^2, summed in the order of the 32-blade
+P|Q = (p.q - |q|^2/2) - |p|^2/2, summed in the order of the 32-blade
 contraction, so the two agree bit for bit; fb and fc apply fa to witness
 points, and compute u, v, w and a-e below inline in the written order (dot
-products sum x + y + z).  The kernels trust their float triples:
-coordinates are validated where they enter (primitives, scene parsing,
-center_dist_fa/fb/fc).  ClosestPair's witnesses q1, q2 are float triples
-as well.
+products sum x + y + z).  The kernels run on any ordered field, so on
+Fraction triples they return the exact minimum, as a Fraction:
+- the kernel lines hold no float literal in arithmetic and no math.* or
+  float() call (on floats, 2 * x and x / 2 are 2.0 * x and 0.5 * x bit for bit);
+- clamped parameters come back as the floats 0.0 and 1.0, which never enter
+  arithmetic, so code that computes with them converts them first;
+- the kernels trust their triples: coordinates are validated by the
+  primitives and center_dist_fa, so a ClosestPair holds float triples.
 
 The point-segment case split, on t = (p - a).d and |d|^2 for d = b - a:
 
@@ -33,15 +36,14 @@ whose unconstrained stationary point has
 
     s1k = num / det,  num = b*e - c*d,  det = a*c - b^2  (>= 0 before rounding).
 
-Q is convex, so clamp and recompute (Ericson, Real-Time Collision
-Detection, 2005, 5.1.9) finds its minimum over the square: clamp s1k to
-[0, 1], solve s2 from that point of segment 1, and only if s2 clamps,
-re-solve s1 from the clamped end of segment 2.  Each solve is fb's
-projection and branch rules written on fc's own terms: the numerator is -e
-from a1 and -d from a2, which fb's dot products equal exactly, and fa runs
-once, on the final witnesses.  The results are fb's bit for bit: a
-first-stage t/c that underflows to 0.0 falls through to the second solve
-(for floats t < c, t/c stays below 1.0).
+Q is convex, so clamp and recompute (Ericson, Real-Time Collision Detection,
+2005, 5.1.9) finds its minimum over the square: clamp s1k to [0, 1], solve s2
+from that point of segment 1, and only if s2 clamps, re-solve s1 from the
+clamped end of segment 2.  Each solve is fb's projection and branch rules
+written on fc's own terms: the numerator is -e from a1 and -d from a2, which
+fb's dot products equal exactly, and fa runs once, on the final witnesses.
+The results are fb's bit for bit: a first-stage t/c that underflows to 0.0
+falls through to the second solve (for floats t < c, t/c stays below 1.0).
 
 There is no parallel test.  For a given s1 the best s2 on the whole line
 lies (det/c)*(s1 - s1k)^2 above the line-line minimum, so where det is
@@ -90,10 +92,10 @@ def fa(p: Vec, q: Vec) -> float:
         p, q = q, p
     px, py, pz = p
     qx, qy, qz = q
-    return 2.0 * abs(
+    return 2 * abs(
         (px * qx + py * qy + pz * qz)
-        - 0.5 * (qx * qx + qy * qy + qz * qz)
-        - 0.5 * (px * px + py * py + pz * pz)
+        - (qx * qx + qy * qy + qz * qz) / 2
+        - (px * px + py * py + pz * pz) / 2
     )
 
 
@@ -127,9 +129,7 @@ def fc(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple[float, float, float, Vec, Ve
     det = a * c - b * b
     num = b * e - c * d  # s1k * det
 
-    # Clamp s1k to [0, 1] (dividing only when 0 < num < det), solve s2 from
-    # that point of segment 1, and only if s2 clamps, re-solve s1 from the
-    # clamped end of segment 2; one fa call on the final witnesses.
+    # The docstring's clamp chain, dividing only when 0 < numerator < denominator.
     if num <= 0.0:
         s1, p, t = 0.0, a1, -e
     elif det <= num:
@@ -171,11 +171,15 @@ def center_dist_fa(p1, p2) -> float:
 def center_dist_fb(p, seg: Segment) -> ClosestPair:
     """Squared distance from a point to a segment, with the closest point."""
     p = as_triple(p)
+    if not isinstance(seg, Segment):
+        raise ValueError(f"seg must be a Segment, got {seg!r}")
     sq, s, q = fb(p, seg.start, seg.end)
     return ClosestPair(0.0, s, p, q, sq)
 
 
 def center_dist_fc(seg1: Segment, seg2: Segment) -> ClosestPair:
     """Squared distance between two segments, with the closest point pair."""
+    if not (isinstance(seg1, Segment) and isinstance(seg2, Segment)):
+        raise ValueError(f"seg1 and seg2 must be Segments, got {seg1!r} and {seg2!r}")
     sq, s1, s2, q1, q2 = fc(seg1.start, seg1.end, seg2.start, seg2.end)
     return ClosestPair(s1, s2, q1, q2, sq)

@@ -132,6 +132,8 @@ class Capsule:
 
 def segment_point_at(seg: Segment, t: float) -> Vec:
     """Affine interpolation sc + t*(ec - sc) for t in [0, 1]."""
+    if not isinstance(seg, Segment):
+        raise ValueError(f"seg must be a Segment, got {seg!r}")
     t = _scalar(t, "a segment parameter")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"segment parameter must lie in [0, 1], got {t}")

@@ -29,7 +29,7 @@ from oracle import (
     stationary_point,
 )
 from cgacollide.objects import point
-from cgacollide.primitives import MAX_MM, Capsule, ClosedBall, Segment
+from cgacollide.primitives import MAX_MM, Capsule, ClosedBall, Segment, segment_point_at
 
 
 EPS = 2.0**-52
@@ -514,6 +514,61 @@ class TestClampAndRecompute:
         assert total >= 100_000
         assert differ == []
         assert min(branches.values()) >= 100, branches
+
+
+def as_fractions(ends) -> tuple:
+    """A tuple of float triples with every coordinate converted by Fraction."""
+    return tuple(tuple(map(Fraction, p)) for p in ends)
+
+
+class TestExactOnFractions:
+    """On Fraction coordinates fa, fb and fc return the exact minimum, as a
+    Fraction: no kernel line has a float literal in arithmetic, and the
+    clamped parameters 0.0 and 1.0 never enter it."""
+
+    def test_equal_to_the_exact_minimum_on_every_family(self):
+        rng = np.random.default_rng(91)
+        total = 0
+        for family, quads in segment_pair_families(rng).items():
+            sample = quads[:: len(quads) // 150]
+            for ends in sample:
+                a1, _, a2, b2 = ends  # floats, for the oracle
+                x1, _, x2, y2 = exact = as_fractions(ends)
+                sq, s1, s2, q1, q2 = fc(*exact)
+                assert type(sq) is Fraction and sq == exact_distance2(*ends), family
+                assert sq == sum((y - z) ** 2 for y, z in zip(q1, q2)), family
+                for got, want in ((fb(x1, x2, y2)[0], exact_distance2(a1, a1, a2, b2)),
+                                  (fa(x1, y2), exact_distance2(a1, a1, b2, b2))):
+                    assert type(got) is Fraction and got == want, family
+                # KKT at (s1, s2): g_i = dQ/ds_i / 2 is 0 inside (0, 1), >= 0 at 0, <= 0 at 1
+                _, _, _, a, b, c, d, e, _ = _coefficients(*exact)
+                s1, s2 = Fraction(s1), Fraction(s2)  # a clamped s is the float 0.0 or 1.0
+                for s, g in ((s1, a * s1 + b * s2 + d), (s2, b * s1 + c * s2 + e)):
+                    assert 0 <= s <= 1, family
+                    assert (g == 0) if 0 < s < 1 else (g >= 0) if s == 0 else (g <= 0), family
+            assert len(sample) >= 150
+            total += len(sample)
+        assert total >= 1350
+
+    def test_tangency_reproducer_touches_exactly(self):
+        # two r = 0.5 capsules whose axes are exactly 1 mm apart: the float
+        # distance reads one ulp beyond the threshold, the exact one equals it
+        ends = ((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 2.0))
+        assert fc(*ends)[0] == 1.0000000000000002
+        sq, s1, s2, _, _ = fc(*as_fractions(ends))
+        assert type(sq) is Fraction and (s1, s2) == (Fraction(2, 3), Fraction(1, 3))
+        assert sq == 1 == (Fraction(0.5) + Fraction(0.5)) ** 2
+
+
+@pytest.mark.parametrize("bad", [((0, 0, 0), (1, 0, 0)), Capsule(Segment((0, 0, 0), (1, 0, 0)), 1.0),
+                                 None, "segment"], ids=["two-points", "capsule", "none", "text"])
+def test_segment_arguments_must_be_segments(bad):
+    seg = Segment((0, 0, 0), (1, 0, 0))
+    calls = (lambda: center_dist_fb((0, 0, 0), bad), lambda: center_dist_fc(bad, seg),
+             lambda: center_dist_fc(seg, bad), lambda: segment_point_at(bad, 0.5))
+    for call in calls:
+        with pytest.raises(ValueError, match="seg.* must be (a )?Segments?, got"):
+            call()
 
 
 def first_solve(a1, b1, a2, b2) -> tuple:
