@@ -198,7 +198,7 @@ class Multivector:
         return not any(self.coeffs)  # -0.0 is falsy, and no coefficient is NaN
 
     def __repr__(self):
-        terms = [f"{c:g}*{name}" if mask else f"{c:g}"
+        terms = [f"{c!r}*{name}" if mask else repr(c)
                  for mask, (c, name) in enumerate(zip(self.coeffs, _BLADE_NAMES)) if c != 0.0]
         return "Multivector(" + (" + ".join(terms) if terms else "0") + ")"
 

@@ -83,8 +83,8 @@ def run_check(args: argparse.Namespace) -> int:
         lambda: [
             f"robots: {r1.name} ({len(r1)} components) vs {r2.name} ({len(r2)} components)",
             *(
-                f"pair i={p.i} j={p.j}  squared={p.squared_distance:.6g}"
-                f"  threshold={p.threshold:.6g}  {'COLLISION' if p.colliding else 'separate'}"
+                f"pair i={p.i} j={p.j}  squared={p.squared_distance!r}"
+                f"  threshold={p.threshold!r}  {'COLLISION' if p.colliding else 'separate'}"
                 for p in report.pairs
             ),
             f"verdict: {'collision' if report.verdict else 'no collision'}",
@@ -113,7 +113,7 @@ def run_dist(args: argparse.Namespace) -> int:
         lambda: {"robots": [r1.name, r2.name], "pairs": rows},
         lambda: [
             f"robots: {r1.name} vs {r2.name}",
-            *("pair i={i} j={j}  squared={squared_distance:.6g}  distance={distance:.6g}"
+            *("pair i={i} j={j}  squared={squared_distance!r}  distance={distance!r}"
               .format_map(row) for row in rows),
         ],
     )

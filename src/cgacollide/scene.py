@@ -46,16 +46,6 @@ class Scene:
             raise SceneError(f"duplicate robot name in {names}")
 
 
-def _parse_floats(fields: list[str], lineno: int) -> list[float]:
-    values = []
-    for tok in fields:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise SceneError(f"not a number: {tok!r}", lineno) from None
-    return values
-
-
 # Numbers on each component record.
 _ARITY = {"capsule": 7, "ball": 4}
 
@@ -67,28 +57,28 @@ def parse_scene(text: str) -> Scene:
     # End lines only where a text-mode read does; splitlines() also ends them at \f, U+2028 etc.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    components = None  # the latest robot's list
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        kind, *args = line.split()
+        kind, *args = fields
         if kind == "robot":
             if len(args) != 1:
                 raise SceneError("robot line takes exactly one name", lineno)
             if args[0] in robots:
                 raise SceneError(f"duplicate robot name {args[0]!r}", lineno)
-            robots[args[0]] = lineno, []
+            components = []
+            robots[args[0]] = lineno, components
         elif kind in _ARITY:
-            if not robots:
+            if components is None:
                 raise SceneError("component before any robot line", lineno)
             if len(args) != _ARITY[kind]:
                 raise SceneError(f"{kind} takes {_ARITY[kind]} numbers, got {len(args)}", lineno)
-            v = _parse_floats(args, lineno)
-            try:
-                next(reversed(robots.values()))[1].append(  # the latest robot's list
-                    ClosedBall(v[:3], v[3]) if kind == "ball"
-                    else Capsule(Segment(v[:3], v[3:6]), v[6])
-                )
+            try:  # a bad number, then the primitive's rules, fail at this line
+                v = [float(tok) for tok in args]
+                components.append(ClosedBall(v[:3], v[3]) if kind == "ball"
+                                  else Capsule(Segment(v[:3], v[3:6]), v[6]))
             except ValueError as exc:
                 raise SceneError(str(exc), lineno) from None
         else:

@@ -265,6 +265,25 @@ class TestScalarFactor:
             Fraction(10**300) * Multivector([1e300] + [0.0] * (BLADE_COUNT - 1))
 
 
+class TestRepr:
+    def test_unequal_multivectors_print_unequal(self):
+        near, exact = point((1.0000001, 0, 0)), point((1, 0, 0))
+        assert near != exact and repr(near) != repr(exact)
+        assert repr(near) == "Multivector(1.0000001*e1 + 1.0*e0 + 0.500000100000005*einf)"
+
+    def test_printed_coefficients_round_trip(self):
+        mv = Multivector([1 / 3] + [(-0.1) ** k for k in range(1, BLADE_COUNT)])
+        body = repr(mv).removeprefix("Multivector(").removesuffix(")")
+        printed = {}
+        for term in body.split(" + "):
+            coeff, _, name = term.partition("*")
+            printed[name or "1"] = float(coeff)
+        assert printed == dict(zip(cga._BLADE_NAMES, mv.coeffs))
+
+    def test_zero_prints_zero(self):
+        assert repr(zero()) == "Multivector(0)"
+
+
 BIG = Multivector([1e200] + [0.0] * (BLADE_COUNT - 1))  # squares to 1e400
 HUGE = Multivector([1e308] + [0.0] * (BLADE_COUNT - 1))  # doubles to 2e308
 

@@ -34,6 +34,13 @@ class TestCheck:
         assert main(["check", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_bad_number_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scene"
+        bad.write_text("robot a\nball 0 0 zero 1\n")
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: line 2: could not convert string to float: 'zero'\n")
+
     @pytest.mark.parametrize("subcommand", ["check", "dist"])
     def test_huge_coordinate_exits_two(self, tmp_path, subcommand, capsys):
         # two coincident balls at 1e155 once gave a NaN distance and exit 0
@@ -93,7 +100,7 @@ class TestCheck:
         }
         for p in payload["pairs"]:
             sq, thr = text_rows[(p["i"], p["j"])]
-            assert abs(sq - p["squared_distance"]) <= 1e-6 * max(1.0, p["squared_distance"])
+            assert sq == p["squared_distance"]
             assert thr == p["threshold"]
 
     def test_first_hit_mode_reports_single_pair(self, capsys):
@@ -125,6 +132,15 @@ class TestCheck:
         text = capsys.readouterr().out
         assert re.search(r"^pair i=0 j=0 .*  COLLISION$", text, re.M)
         assert "verdict: collision" in text
+
+    def test_tangency_prints_the_deciding_digits(self, tmp_path, capsys):
+        # axes exactly 1 mm apart, radii 0.5: the float squared distance lands
+        # one ulp above the threshold, and the text report shows that ulp
+        scene = tmp_path / "tangent.scene"
+        scene.write_text("robot a\ncapsule 0 0 0 0 1 1 0.5\nrobot b\ncapsule 1 1 0 1 0 2 0.5\n")
+        main(["check", str(scene)])
+        assert re.search(r"^pair i=0 j=0  squared=1\.0000000000000002  threshold=1\.0  ",
+                         capsys.readouterr().out, re.M)
 
     def test_exit_codes_stable_across_formats(self, capsys):
         for fmt in ("text", "json"):
@@ -331,5 +347,5 @@ class TestPinnedOutput:
             out, err = capsys.readouterr()
             h.update(repr((args, code, out, err)).encode())
         assert h.hexdigest() == (
-            "3619c0d684346d261f8f3e6e1650c8dcfaf62d0b1df74b23d04ebb0afac8d486"
+            "486fc30e66d89b332a9f1adab35414b594046c9bf0b447a1e87e123cb8e101a0"
         )

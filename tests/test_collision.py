@@ -488,7 +488,7 @@ REMOVED_NAMES = (
     "CliConfig", "e_plus", "e_minus", "_blade_lift", "_sub", "_dot",
     "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
     "capsule_degenerate_as_ball", "balls_collide", "ball_capsule_collide", "capsules_collide",
-    "iter_pair_checks", "PARALLEL_EPS", "DEGENERACY_EPS2", "_centers",
+    "iter_pair_checks", "PARALLEL_EPS", "DEGENERACY_EPS2", "_centers", "_parse_floats",
 )
 
 

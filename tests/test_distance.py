@@ -279,6 +279,12 @@ class TestSegmentSegment:
         assert abs(r.squared_distance - 1.0) <= 1e-12
         assert (r.s1, r.s2) == (0.0, 0.5)
 
+    def test_distance_is_sqrt_of_squared(self):
+        rng = np.random.default_rng(74)
+        for _ in range(50):
+            r = center_dist_fc(random_segment(rng), random_segment(rng))
+            assert r.distance == math.sqrt(r.squared_distance)
+
     def test_symmetry(self):
         rng = np.random.default_rng(72)
         for _ in range(300):

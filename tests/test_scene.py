@@ -59,7 +59,7 @@ class TestParse:
 
     def test_bad_number_reports_line(self):
         text = "robot r\nball 0 0 zero 1\n"
-        with pytest.raises(SceneError, match="not a number") as exc:
+        with pytest.raises(SceneError, match="could not convert string to float: 'zero'") as exc:
             parse_scene(text)
         assert exc.value.line == 2
 
@@ -91,6 +91,12 @@ class TestParse:
         text = "robot r\nball 0 0 0 1\nrobot r\nball 1 1 1 1\n"
         with pytest.raises(SceneError, match="duplicate"):
             parse_scene(text)
+
+    def test_scene_rejects_duplicate_robot_names(self):
+        # the parser stops a repeated name first, so this is Scene's own rule
+        robot = RobotModel("r", (ClosedBall((0, 0, 0), 1.0),))
+        with pytest.raises(SceneError, match="duplicate robot name"):
+            Scene([robot, robot])
 
     def test_robot_without_components(self):
         with pytest.raises(SceneError, match="no components") as exc:
