@@ -7,37 +7,25 @@ coordinates into integers and the minimum into a ratio of integers, found
 without rounding.  exact_component_distance2 applies it to the center sets
 of two components (a ball's is the segment (center, center)).
 
-The earlier segment-segment kernels stay as references: four_edge_fc, which
-took the best of the four edges of the unit square on every boundary case,
-and fb_recompute_fc, the clamp and recompute as fb calls, which pins fc's
-inline boundary solve.  Both decide "parallel" and "degenerate" by the old
-kernels' cut-offs, PARALLEL_EPS and DEGENERACY_EPS2; fc itself has neither
-test.
-
-It also holds the test-only views of the package: the segment-pair
-quadratic and its stationary point, over the helper form fc had before it
-computed them inline (_coefficients, _stationary), and tolerance-based
-component and robot equality.
+exact_stationary classifies a segment pair in the same integers, with no
+cut-off: det == 0 exactly for parallel axes or a zero-length one, else the
+stationary point is (n1/det, n2/det), interior when it lies in the unit
+square.  fb_recompute_fc, fc's clamp and recompute as fb calls before fc
+solved its boundary inline, branches on it and accepts only boundary pairs
+(det > 0, not interior), where TestClampEdges holds fc to it repr for repr.
+Also here: _coefficients, the float terms of fc's quadratic, and
+tolerance-based component and robot equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from cgacollide.collision import Component, RobotModel
-from cgacollide.distance import fa, fb
-from cgacollide.primitives import ClosedBall, Segment, Vec
+from cgacollide.distance import fb
+from cgacollide.primitives import ClosedBall, Vec
 
 _EQUAL_TOL = 1e-12
-
-# The old kernels' relative cut-off on a*c - b^2, below which they took a
-# segment pair for parallel and searched the four edges of the unit square.
-PARALLEL_EPS = 1e-10
-
-# The old kernels' cut-off on a segment's |d|^2 (mm^2, summed x + y + z),
-# below which they took the segment for its start point.
-DEGENERACY_EPS2 = 1e-12
 
 
 def _centers(c: Component) -> tuple:
@@ -65,6 +53,30 @@ def _edge(a: int, b: int, c: int) -> tuple:
     return a * c - b * b, a
 
 
+def _integer_terms(a1, b1, a2, b2) -> tuple:
+    """(scale, a..f, det, n1, n2), integers, for the coordinates times scale."""
+    nums, dens = zip(*map(float.as_integer_ratio, map(float, (*a1, *b1, *a2, *b2))))
+    scale = max(dens)  # every den is a power of two, so scale // den is exact
+    z = [n * (scale // d) for n, d in zip(nums, dens)]
+    u, v, w = _sub(z[3:6], z[0:3]), _sub(z[9:12], z[6:9]), _sub(z[0:3], z[6:9])
+    a, b, c, d, e, f = _dot(u, u), -_dot(u, v), _dot(v, v), _dot(u, w), -_dot(v, w), _dot(w, w)
+    return scale, a, b, c, d, e, f, a * c - b * b, b * e - c * d, b * d - a * e
+
+
+def exact_stationary(a1, b1, a2, b2) -> tuple:
+    """(det, n1, n2), integers, for segments a1 -> b1 and a2 -> b2.
+
+    det >= 0, and det == 0 exactly when the axes are parallel or one has
+    zero length; otherwise the stationary point of Q is (n1/det, n2/det).
+    """
+    return _integer_terms(a1, b1, a2, b2)[7:]
+
+
+def interior(det: int, n1: int, n2: int) -> bool:
+    """Whether exact_stationary's point lies in the unit square; det == 0 never does."""
+    return det > 0 and 0 <= n1 <= det and 0 <= n2 <= det
+
+
 def exact_distance2(a1, b1, a2, b2) -> Fraction:
     """Exact minimum squared distance between segments a1 -> b1 and a2 -> b2.
 
@@ -74,14 +86,8 @@ def exact_distance2(a1, b1, a2, b2) -> Fraction:
     an endpoint-to-segment distance.  Candidates are (num, den) integer
     pairs, compared by cross-multiplying.
     """
-    nums, dens = zip(*map(float.as_integer_ratio, map(float, (*a1, *b1, *a2, *b2))))
-    scale = max(dens)  # every den is a power of two, so scale // den is exact
-    z = [n * (scale // d) for n, d in zip(nums, dens)]
-    u, v, w = _sub(z[3:6], z[0:3]), _sub(z[9:12], z[6:9]), _sub(z[0:3], z[6:9])
-    a, b, c, d, e, f = _dot(u, u), -_dot(u, v), _dot(v, v), _dot(u, w), -_dot(v, w), _dot(w, w)
-    det = a * c - b * b
-    n1, n2 = b * e - c * d, b * d - a * e
-    if det > 0 and 0 <= n1 <= det and 0 <= n2 <= det:
+    scale, a, b, c, d, e, f, det, n1, n2 = _integer_terms(a1, b1, a2, b2)
+    if interior(det, n1, n2):
         num, den = f * det + d * n1 + e * n2, det
     else:  # the edges s1 = 0, s1 = 1, s2 = 0, s2 = 1
         num, den = _edge(c, e, f)
@@ -98,114 +104,26 @@ def exact_component_distance2(a: Component, b: Component) -> Fraction:
 
 
 def _coefficients(a1: Vec, b1: Vec, a2: Vec, b2: Vec) -> tuple:
+    """(u, v, w, a, b, c, d, e, f) of Q as fc forms them, in the inputs' type."""
     u, v, w = _sub(b1, a1), _sub(b2, a2), _sub(a1, a2)
     return u, v, w, _dot(u, u), -_dot(u, v), _dot(v, v), _dot(u, w), -_dot(v, w), _dot(w, w)
 
 
-def _stationary(a: float, b: float, c: float, d: float, e: float) -> tuple:
-    """(s1k, s2k, exists).  The parallel test is relative, so short segments
-    are not taken for parallel; the fc forms call it with a, c >= DEGENERACY_EPS2,
-    where a*c cannot underflow to zero."""
-    det = a * c - b * b
-    if abs(det) <= PARALLEL_EPS * a * c:
-        return 0.0, 0.0, False
-    return (b * e - c * d) / det, (b * d - a * e) / det, True
-
-
-def four_edge_fc(a1, b1, a2, b2):
-    """distance.fc as it was before clamp-and-recompute: on every boundary
-    case, the best of the four edges of the unit square.  Its branch
-    decisions come from the helper form above, not from fc's inline code."""
-    u, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
-    if a < DEGENERACY_EPS2:
-        sq, s2, q2 = fb(a1, a2, b2)
-        return sq, 0.0, s2, a1, q2
-    if c < DEGENERACY_EPS2:
-        sq, s1, q1 = fb(a2, a1, b1)
-        return sq, s1, 0.0, q1, a2
-
-    s1, s2, exists = _stationary(a, b, c, d, e)
-    if exists and 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0:
-        q1 = (a1[0] + s1 * u[0], a1[1] + s1 * u[1], a1[2] + s1 * u[2])
-        q2 = (a2[0] + s2 * v[0], a2[1] + s2 * v[1], a2[2] + s2 * v[2])
-        return fa(q1, q2), s1, s2, q1, q2
-
-    # Boundary minimum: clamp each edge of the unit square in turn.  Tuples
-    # compare by (squared distance, s1, s2), so ties break toward the smallest
-    # (s1, s2) and parallel overlaps give one answer; equal keys share witnesses.
-    edges = []
-    for s1, p in ((0.0, a1), (1.0, b1)):
-        sq, s2, q = fb(p, a2, b2)
-        edges.append((sq, s1, s2, p, q))
-    for s2, p in ((0.0, a2), (1.0, b2)):
-        sq, s1, q = fb(p, a1, b1)
-        edges.append((sq, s1, s2, q, p))
-    return min(edges)
-
-
 def fb_recompute_fc(a1, b1, a2, b2):
-    """distance.fc as it was before it solved its boundary inline: clamp s1k,
-    fb from that end of segment 1, and only if s2 clamps, fb from the clamped
-    end of segment 2.  Off the boundary it is four_edge_fc, as fc was."""
-    _, _, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
-    if a < DEGENERACY_EPS2 or c < DEGENERACY_EPS2:
-        return four_edge_fc(a1, b1, a2, b2)
-    s1, s2, exists = _stationary(a, b, c, d, e)
-    if not exists or (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0):
-        return four_edge_fc(a1, b1, a2, b2)
-    if not 0.0 <= s1 <= 1.0:
-        s1, p = (0.0, a1) if s1 < 0.0 else (1.0, b1)
+    """distance.fc as it was before it solved its boundary inline, on a
+    boundary pair: clamp s1k, fb from that end of segment 1, and only if s2
+    clamps, fb from the clamped end of segment 2."""
+    det, n1, n2 = exact_stationary(a1, b1, a2, b2)
+    assert det > 0 and not interior(det, n1, n2), "not a boundary pair"
+    s1, s2 = Fraction(n1, det), Fraction(n2, det)
+    if not 0 <= s1 <= 1:
+        s1, p = (0.0, a1) if s1 < 0 else (1.0, b1)
         sq, s2, q = fb(p, a2, b2)
         if 0.0 < s2 < 1.0:
             return sq, s1, s2, p, q
-    s2, p = (0.0, a2) if s2 <= 0.0 else (1.0, b2)
+    s2, p = (0.0, a2) if s2 <= 0 else (1.0, b2)
     sq, s1, q = fb(p, a1, b1)
     return sq, s1, s2, q, p
-
-
-class SegmentPairCoefficients(NamedTuple):
-    u: Vec
-    v: Vec
-    w: Vec
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-
-class StationaryPoint(NamedTuple):
-    """Unconstrained minimizer of the segment-pair quadratic.
-
-    exists is False for (near-)parallel segments; s1k/s2k are then 0.
-    """
-
-    s1k: float
-    s2k: float
-    exists: bool
-
-
-def segment_pair_coefficients(seg1: Segment, seg2: Segment) -> SegmentPairCoefficients:
-    """Quadratic coefficients of the squared distance between segment points."""
-    return SegmentPairCoefficients(*_coefficients(seg1.start, seg1.end, seg2.start, seg2.end))
-
-
-def segment_pair_quadratic(co: SegmentPairCoefficients, s1: float, s2: float) -> float:
-    """Evaluate the squared-distance quadratic Q(s1, s2)."""
-    return (
-        co.a * s1 * s1
-        + co.c * s2 * s2
-        + 2.0 * co.b * s1 * s2
-        + 2.0 * co.d * s1
-        + 2.0 * co.e * s2
-        + co.f
-    )
-
-
-def stationary_point(co: SegmentPairCoefficients) -> StationaryPoint:
-    """Zero of the gradient of Q, when the segments are not parallel."""
-    return StationaryPoint(*_stationary(co.a, co.b, co.c, co.d, co.e))
 
 
 def components_equal(a: Component, b: Component, tol: float = _EQUAL_TOL) -> bool:

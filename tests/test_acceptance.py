@@ -25,14 +25,16 @@ from cgacollide.distance import (
     center_dist_fa,
     center_dist_fb,
     center_dist_fc,
+    fc,
 )
 from cgacollide.objects import point
 from oracle import (
+    _coefficients,
     components_equal,
     exact_component_distance2,
     exact_distance2,
-    segment_pair_coefficients,
-    stationary_point,
+    exact_stationary,
+    interior,
 )
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import (
@@ -127,12 +129,16 @@ def _fb_instances(rng):
     return instances
 
 
+def _ends(seg1, seg2) -> tuple:
+    return seg1.start, seg1.end, seg2.start, seg2.end
+
+
 def _fc_instances(rng):
     """Segment pairs: random, parallel, degenerate, boundary-clamp families."""
     instances = []
     for _ in range(1400):
         instances.append((random_segment(rng), random_segment(rng)))
-    for _ in range(1200):  # exactly parallel directions
+    for _ in range(1200):  # parallel up to the rounding of the second axis
         seg1 = random_segment(rng)
         sc2 = rng.uniform(-1e3, 1e3, 3)
         alpha = float(rng.uniform(0.3, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
@@ -145,12 +151,18 @@ def _fc_instances(rng):
         else:
             instances.append((seg1, Segment(sc2, sc2)))
     clamped = 0
-    while clamped < 1200:  # stationary point exists but falls outside the square
+    while clamped < 1200:  # det > 0, exact stationary point outside the square
         seg1, seg2 = random_segment(rng), random_segment(rng)
-        st = stationary_point(segment_pair_coefficients(seg1, seg2))
-        if st.exists and not (0 <= st.s1k <= 1 and 0 <= st.s2k <= 1):
+        det, n1, n2 = exact_stationary(*_ends(seg1, seg2))
+        if det > 0 and not interior(det, n1, n2):
             instances.append((seg1, seg2))
             clamped += 1
+    for _ in range(1200):  # exactly parallel: integer ends, the second axis k times the first
+        a1, a2 = rng.integers(-1000, 1001, (2, 3))
+        d = rng.integers(-50, 51, 3)
+        seg1, seg2 = Segment(a1, a1 + d), Segment(a2, a2 + rng.choice([-2, -1, 1, 3]) * d)
+        assert exact_stationary(*_ends(seg1, seg2))[0] == 0
+        instances.append((seg1, seg2))
     return instances
 
 
@@ -170,14 +182,15 @@ def test_criterion_4_distance_kernels_vs_oracles():
             exact = exact_distance2(seg1.start, seg1.end, seg2.start, seg2.end)
             assert abs(got - exact) <= 1e-9 * max(1, min(got, exact))
 
-            co = segment_pair_coefficients(seg1, seg2)
-            st = stationary_point(co)
-            if st.exists and 0 <= st.s1k <= 1 and 0 <= st.s2k <= 1:
+            # on an interior pair, fc's (s1, s2) on the Fraction values of the
+            # ends zeroes the gradient of Q exactly
+            if interior(*exact_stationary(*_ends(seg1, seg2))):
                 pinned += 1
-                g1 = co.a * st.s1k + co.b * st.s2k + co.d
-                g2 = co.b * st.s1k + co.c * st.s2k + co.e
-                assert abs(g1) <= 1e-8 * max(1.0, abs(co.a * st.s1k), abs(co.b * st.s2k), abs(co.d))
-                assert abs(g2) <= 1e-8 * max(1.0, abs(co.b * st.s1k), abs(co.c * st.s2k), abs(co.e))
+                ends = [tuple(map(Fraction, p)) for p in _ends(seg1, seg2)]
+                _, s1, s2, _, _ = fc(*ends)
+                s1, s2 = Fraction(s1), Fraction(s2)  # a clamped s is the float 0.0 or 1.0
+                _, _, _, a, b, c, d, e, _ = _coefficients(*ends)
+                assert a * s1 + b * s2 + d == 0 and b * s1 + c * s2 + e == 0
 
         elapsed = time.perf_counter() - t0
         assert pinned >= 100  # the gradient condition was actually exercised

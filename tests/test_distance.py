@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import sys
@@ -16,17 +17,13 @@ from cgacollide.distance import (
     fc,
 )
 from oracle import (
-    DEGENERACY_EPS2,
-    PARALLEL_EPS,
     _coefficients,
     _dot,
-    _stationary,
     _sub,
     exact_distance2,
+    exact_stationary,
     fb_recompute_fc,
-    segment_pair_coefficients,
-    segment_pair_quadratic,
-    stationary_point,
+    interior,
 )
 from cgacollide.objects import point
 from cgacollide.primitives import MAX_MM, Capsule, ClosedBall, Segment, segment_point_at
@@ -97,12 +94,13 @@ class TestPointSegment:
         (3.069586933315121e-07, -2.6177123577256385e-07, -9.150148527266185e-07),
     ])
     def test_degeneracy_agrees_with_kernel_branch(self, d):
-        # |d|^2 sits within one rounding of the old kernels' DEGENERACY_EPS2, on
-        # either side of it as summed x + y + z; they took d0 for a segment and
-        # d1 for its start point.  The kernels have one branch rule for both:
-        # a true segment, whose end is closest to the query point
+        # |d|^2 sits within one rounding of 1e-12 mm^2, the old kernels' cut-off
+        # (the removed DEGENERACY_EPS2), on either side of it as summed x + y + z;
+        # they took d0 for a segment and d1 for its start point.  The kernels have
+        # one branch rule for both: a true segment, whose end is closest to the
+        # query point
         dx, dy, dz = d
-        assert abs(dx * dx + dy * dy + dz * dz - DEGENERACY_EPS2) <= EPS * DEGENERACY_EPS2
+        assert abs(dx * dx + dy * dy + dz * dz - 1e-12) <= EPS * 1e-12
         seg = Segment((0, 0, 0), d)
         p = (1.0, 0.0, 0.0)
         r = center_dist_fb(p, seg)
@@ -166,89 +164,63 @@ class TestPointSegment:
             assert abs(Fraction(got) - exact) <= 1e-9 * max(1.0, got)
 
 
+def as_fractions(ends) -> tuple:
+    """A tuple of float triples with every coordinate converted by Fraction."""
+    return tuple(tuple(map(Fraction, p)) for p in ends)
+
+
+def quadratic(ends, s1, s2):
+    """Q(s1, s2) = a*s1^2 + 2b*s1*s2 + c*s2^2 + 2d*s1 + 2e*s2 + f, from the
+    _coefficients of ends, in the type of ends and of s1, s2."""
+    _, _, _, a, b, c, d, e, f = _coefficients(*ends)
+    return a * s1 * s1 + 2 * b * s1 * s2 + c * s2 * s2 + 2 * d * s1 + 2 * e * s2 + f
+
+
+def ends_of(seg1, seg2) -> tuple:
+    return seg1.start, seg1.end, seg2.start, seg2.end
+
+
 class TestPairCoefficients:
+    """_coefficients, Q's terms as fc forms them, and exact_stationary's det."""
+
     def test_degenerate_pair_all_zero(self):
-        seg = Segment((1, 1, 1), (1, 1, 1))
-        co = segment_pair_coefficients(seg, seg)
-        assert (co.a, co.b, co.c, co.d, co.e, co.f) == (0, 0, 0, 0, 0, 0)
+        p = (1.0, 1.0, 1.0)
+        assert _coefficients(p, p, p, p)[3:] == (0.0,) * 6
+        assert exact_stationary(p, p, p, p) == (0, 0, 0)
 
     def test_hand_worked_example(self):
-        co = segment_pair_coefficients(
-            Segment((0, 0, 0), (1, 0, 0)), Segment((0, 1, 1), (0, -1, 1))
+        u, v, w, a, b, c, d, e, f = _coefficients(
+            (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (0.0, -1.0, 1.0)
         )
-        assert np.array_equal(co.u, (1, 0, 0))
-        assert np.array_equal(co.v, (0, -2, 0))
-        assert np.array_equal(co.w, (0, -1, -1))
-        assert (co.a, co.c, co.f) == (1.0, 4.0, 2.0)
-        assert co.b == 0.0       # -(u.v)
-        assert co.d == 0.0       # u.w
-        assert co.e == -2.0      # -(v.w)
+        assert (u, v, w) == ((1, 0, 0), (0, -2, 0), (0, -1, -1))
+        assert (a, c, f) == (1.0, 4.0, 2.0)
+        assert b == 0.0       # -(u.v)
+        assert d == 0.0       # u.w
+        assert e == -2.0      # -(v.w)
 
     def test_parallel_pair_determinant_vanishes(self):
-        co = segment_pair_coefficients(
-            Segment((0, 0, 0), (0, 0, 130)), Segment((0, 120, 0), (0, 120, 130))
-        )
-        assert co.a * co.c - co.b * co.b == 0.0
+        ends = ((0.0, 0.0, 0.0), (0.0, 0.0, 130.0), (0.0, 120.0, 0.0), (0.0, 120.0, 130.0))
+        _, _, _, a, b, c, _, _, _ = _coefficients(*ends)
+        assert a * c - b * b == 0.0
+        assert exact_stationary(*ends)[0] == 0
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(51)
         for _ in range(500):
-            co = segment_pair_coefficients(random_segment(rng), random_segment(rng))
-            assert co.a >= 0 and co.c >= 0 and co.f >= 0
-            assert co.a * co.c - co.b * co.b >= -1e-9 * max(1.0, co.a * co.c)
+            ends = ends_of(random_segment(rng), random_segment(rng))
+            _, _, _, a, _, c, _, _, f = _coefficients(*ends)
+            assert a >= 0 and c >= 0 and f >= 0
+            assert exact_stationary(*ends)[0] >= 0
 
     def test_quadratic_matches_direct_distance(self):
+        # exactly, on the Fraction values of the float ends and parameters
         rng = np.random.default_rng(52)
         for _ in range(300):
-            seg1, seg2 = random_segment(rng), random_segment(rng)
-            co = segment_pair_coefficients(seg1, seg2)
-            s1, s2 = rng.uniform(0, 1, 2)
-            diff = np.asarray(seg1.point_at(s1)) - np.asarray(seg2.point_at(s2))
-            want = float(diff @ diff)
-            got = segment_pair_quadratic(co, s1, s2)
-            assert abs(got - want) <= 1e-9 * max(1.0, want)
-
-
-class TestStationaryPoint:
-    def test_skew_example(self):
-        co = segment_pair_coefficients(
-            Segment((0, 0, 0), (1, 0, 0)), Segment((0, 1, 1), (0, -1, 1))
-        )
-        st = stationary_point(co)
-        assert st.exists
-        assert (st.s1k, st.s2k) == (0.0, 0.5)
-        assert segment_pair_quadratic(co, st.s1k, st.s2k) == 1.0
-
-    def test_parallel_has_no_stationary_point(self):
-        co = segment_pair_coefficients(
-            Segment((0, 0, 0), (0, 0, 130)), Segment((0, 120, 0), (0, 120, 130))
-        )
-        assert not stationary_point(co).exists
-
-    def test_shared_endpoint_orthogonal(self):
-        co = segment_pair_coefficients(
-            Segment((0, 0, 0), (1, 0, 0)), Segment((0, 0, 0), (0, 1, 0))
-        )
-        st = stationary_point(co)
-        assert st.exists
-        assert (st.s1k, st.s2k) == (0.0, 0.0)
-
-    def test_gradient_vanishes(self):
-        # pins the sign conventions of the quadratic against the closed form
-        rng = np.random.default_rng(61)
-        seen = 0
-        while seen < 300:
-            co = segment_pair_coefficients(random_segment(rng), random_segment(rng))
-            st = stationary_point(co)
-            if not st.exists:
-                continue
-            seen += 1
-            g1 = co.a * st.s1k + co.b * st.s2k + co.d
-            g2 = co.b * st.s1k + co.c * st.s2k + co.e
-            scale1 = max(1.0, abs(co.a * st.s1k), abs(co.b * st.s2k), abs(co.d))
-            scale2 = max(1.0, abs(co.b * st.s1k), abs(co.c * st.s2k), abs(co.e))
-            assert abs(g1) <= 1e-8 * scale1
-            assert abs(g2) <= 1e-8 * scale2
+            a1, b1, a2, b2 = ends = as_fractions(ends_of(random_segment(rng), random_segment(rng)))
+            s1, s2 = map(Fraction, rng.uniform(0, 1, 2))
+            diff = [x1 + s1 * (y1 - x1) - x2 - s2 * (y2 - x2)
+                    for x1, y1, x2, y2 in zip(a1, b1, a2, b2)]
+            assert quadratic(ends, s1, s2) == _dot(diff, diff)
 
 
 class TestSegmentSegment:
@@ -311,25 +283,23 @@ class TestSegmentSegment:
         seen = 0
         while seen < 200:
             seg1, seg2 = random_segment(rng), random_segment(rng)
-            co = segment_pair_coefficients(seg1, seg2)
-            st = stationary_point(co)
-            if not (st.exists and 0 <= st.s1k <= 1 and 0 <= st.s2k <= 1):
+            ends = ends_of(seg1, seg2)
+            det, n1, n2 = exact_stationary(*ends)
+            if not interior(det, n1, n2):
                 continue
             seen += 1
             r = center_dist_fc(seg1, seg2)
-            q = segment_pair_quadratic(co, st.s1k, st.s2k)
-            assert abs(r.squared_distance - q) <= 1e-9 * max(1.0, q)
+            q = quadratic(as_fractions(ends), Fraction(n1, det), Fraction(n2, det))
+            assert abs(Fraction(r.squared_distance) - q) <= 1e-9 * max(1, q)
 
     def test_boundary_cases_equal_edge_union_minimum(self):
-        # when the stationary point is unavailable or clamped, the result is
-        # the infimum over the four edge restrictions
+        # when the exact stationary point is missing (det == 0) or outside the
+        # unit square, the result is the infimum over the four edge restrictions
         rng = np.random.default_rng(75)
         seen = 0
         while seen < 200:
             seg1, seg2 = random_segment(rng), random_segment(rng)
-            co = segment_pair_coefficients(seg1, seg2)
-            st = stationary_point(co)
-            if st.exists and 0 <= st.s1k <= 1 and 0 <= st.s2k <= 1:
+            if interior(*exact_stationary(*ends_of(seg1, seg2))):
                 continue
             seen += 1
             r = center_dist_fc(seg1, seg2)
@@ -384,7 +354,8 @@ class TestSegmentSegment:
         assert (r.s1, r.s2) == (r2.s1, r2.s2)
 
     # 1 m links whose gap closes from 1 to 0.991 mm: a*c - b^2 = 81 is under
-    # the old kernels' PARALLEL_EPS*a*c = 100, so their edge search took it
+    # 1e-10*a*c = 100, the old kernels' relative cut-off (the removed
+    # PARALLEL_EPS), so their edge search took it for parallel
     FAR_END = ((0, 0, 0), (1000, 0, 0), (0, 1, 0), (1000, 0.991, 0))
     NEAR_PARALLEL = {
         "far-end": FAR_END,
@@ -396,7 +367,8 @@ class TestSegmentSegment:
     @pytest.mark.parametrize("ends", NEAR_PARALLEL.values(), ids=NEAR_PARALLEL)
     def test_near_parallel_minimum_at_an_end(self, ends):
         seg1, seg2 = Segment(*ends[:2]), Segment(*ends[2:])
-        assert not stationary_point(segment_pair_coefficients(seg1, seg2)).exists
+        det, n1, n2 = exact_stationary(*ends)
+        assert det > 0 and not interior(det, n1, n2)
         want = exact_distance2(*ends)
         got = center_dist_fc(seg1, seg2).squared_distance
         assert abs(got - want) <= 1e-9 * want
@@ -451,6 +423,13 @@ def segment_pair_families(rng) -> dict:
     return fams
 
 
+@functools.cache
+def seeded_families(seed: int) -> dict:
+    """segment_pair_families(default_rng(seed)), built once per session;
+    callers only read it."""
+    return segment_pair_families(np.random.default_rng(seed))
+
+
 def near_parallel_links(rng, n) -> list:
     """Links 1e-3 mm to 1e5 mm long, 0 to 50 mm apart along n1, segment 2
     turned from segment 1 by 0 or 1e-13 to 3e-5 rad toward n2.  Half cross
@@ -480,8 +459,8 @@ def near_parallel_links(rng, n) -> list:
 def fc_branches(a1, b1, a2, b2, s2) -> tuple:
     """The branches of fc's chain a pair takes: how s1 starts, one solve or
     two (from the returned s2), det <= 0 when rounding makes it so, and
-    whether an axis has zero length or is "sub-micron": 0 < |d|^2 below the
-    old kernels' DEGENERACY_EPS2, so shorter than 1e-6 mm."""
+    whether an axis has zero length or is "sub-micron": 0 < |d|^2 below
+    1e-12 mm^2, the old kernels' cut-off, so shorter than 1e-6 mm."""
     _, _, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
     det, num = a * c - b * b, b * e - c * d
     start = "s1 = 0" if num <= 0.0 else "s1 = 1" if det <= num else "s1 free"
@@ -491,7 +470,7 @@ def fc_branches(a1, b1, a2, b2, s2) -> tuple:
         tags.append("det <= 0")
     if a == 0.0 or c == 0.0:
         tags.append("zero-length")
-    if 0.0 < a < DEGENERACY_EPS2 or 0.0 < c < DEGENERACY_EPS2:
+    if 0.0 < a < 1e-12 or 0.0 < c < 1e-12:  # the removed DEGENERACY_EPS2
         tags.append("sub-micron")
     return tuple(tags)
 
@@ -502,12 +481,11 @@ class TestClampAndRecompute:
     axes included.  8*eps*M^2 is a test tolerance, not a derived error bound."""
 
     def test_within_eight_eps_of_exact_on_every_branch(self):
-        rng = np.random.default_rng(91)
         branches = dict.fromkeys(
             ("s1 = 0", "s1 = 1", "s1 free", "one solve", "two solves", "det <= 0",
              "zero-length", "sub-micron"), 0)
         total, differ = 0, []
-        for family, quads in segment_pair_families(rng).items():
+        for family, quads in seeded_families(91).items():
             for ends in quads:
                 got = fc(*ends)
                 m = max(1.0, *(abs(x) for p in ends for x in p))
@@ -522,20 +500,14 @@ class TestClampAndRecompute:
         assert min(branches.values()) >= 100, branches
 
 
-def as_fractions(ends) -> tuple:
-    """A tuple of float triples with every coordinate converted by Fraction."""
-    return tuple(tuple(map(Fraction, p)) for p in ends)
-
-
 class TestExactOnFractions:
     """On Fraction coordinates fa, fb and fc return the exact minimum, as a
     Fraction: no kernel line has a float literal in arithmetic, and the
     clamped parameters 0.0 and 1.0 never enter it."""
 
     def test_equal_to_the_exact_minimum_on_every_family(self):
-        rng = np.random.default_rng(91)
         total = 0
-        for family, quads in segment_pair_families(rng).items():
+        for family, quads in seeded_families(91).items():
             sample = quads[:: len(quads) // 150]
             for ends in sample:
                 a1, _, a2, b2 = ends  # floats, for the oracle
@@ -580,9 +552,9 @@ def test_segment_arguments_must_be_segments(bad):
 def first_solve(a1, b1, a2, b2) -> tuple:
     """(t, c) of the first clamped solve: fb's numerator from the clamped end
     of segment 1 onto a2 -> b2, and segment 2's squared length."""
-    _, v, _, a, b, c, d, e, _ = _coefficients(a1, b1, a2, b2)
-    s1k, _, _ = _stationary(a, b, c, d, e)
-    return _dot(_sub(a1 if s1k < 0.0 else b1, a2), v), c
+    _, v, _, _, _, c, _, _, _ = _coefficients(a1, b1, a2, b2)
+    _, n1, _ = exact_stationary(a1, b1, a2, b2)  # s1k = n1/det, det > 0
+    return _dot(_sub(a1 if n1 < 0 else b1, a2), v), c
 
 
 def mirrored(ends) -> list:
@@ -654,8 +626,8 @@ class TestClampEdges:
     def test_s1_clamped_to_one_uses_the_b1_projection(self):
         a1, b1, a2, b2 = self.beside(0.75)
         ends = (b1, a1, a2, b2)  # reversed: s1k = 1.5
-        s1k, _, _ = _stationary(*_coefficients(*ends)[3:8])
-        assert s1k > 1.0
+        det, n1, _ = exact_stationary(*ends)
+        assert det > 0 and Fraction(n1, det) == Fraction(3, 2)
         got = fc(*ends)
         assert got[1] == 1.0 and got[3] is a1 and got[2] == 0.375
         self.check(ends)

@@ -6,7 +6,13 @@ import numpy as np
 
 import oracle
 from cgacollide.distance import center_dist_fa, center_dist_fb, center_dist_fc
-from oracle import exact_component_distance2, exact_distance2
+from oracle import (
+    _coefficients,
+    exact_component_distance2,
+    exact_distance2,
+    exact_stationary,
+    interior,
+)
 from cgacollide.primitives import Capsule, ClosedBall, Segment
 from cgacollide.scene import load_table3
 
@@ -88,6 +94,53 @@ class TestExactLaws:
             assert exact_distance2(*pts) == exact_distance2(*moved)
 
 
+class TestExactStationary:
+    """exact_stationary, the one classification of a segment pair: integers,
+    no cut-off, every check an equality."""
+
+    def test_skew_example(self):
+        det, n1, n2 = exact_stationary((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, -1, 1))
+        assert det > 0 and (Fraction(n1, det), Fraction(n2, det)) == (0, Fraction(1, 2))
+
+    def test_parallel_links_have_det_zero(self):
+        # a parallel or zero-length axis gives n1 == n2 == 0 along with det == 0
+        assert exact_stationary((0, 0, 0), (0, 0, 130), (0, 120, 0), (0, 120, 130)) == (0, 0, 0)
+
+    def test_shared_endpoint_orthogonal(self):
+        det, n1, n2 = exact_stationary((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0))
+        assert det > 0 and (n1, n2) == (0, 0)
+
+    @staticmethod
+    def random_ends(rng) -> list:
+        return [tuple(p) for p in rng.uniform(-1e3, 1e3, (4, 3)).tolist()]
+
+    def test_gradient_vanishes(self):
+        # det >= 0 is Cauchy-Schwarz, exact, and strict for random axes; the
+        # gradient of Q, from _coefficients on Fractions, is 0 at (n1/det, n2/det)
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            ends = self.random_ends(rng)
+            det, n1, n2 = exact_stationary(*ends)
+            assert det > 0
+            _, _, _, a, b, c, d, e, _ = _coefficients(*(tuple(map(Fraction, p)) for p in ends))
+            s1, s2 = Fraction(n1, det), Fraction(n2, det)
+            assert a * s1 + b * s2 + d == 0 and b * s1 + c * s2 + e == 0
+
+    def test_interior_minimum_is_q_at_the_solution(self):
+        rng = np.random.default_rng(108)
+        seen = 0
+        while seen < 200:
+            ends = self.random_ends(rng)
+            det, n1, n2 = exact_stationary(*ends)
+            if not interior(det, n1, n2):
+                continue
+            seen += 1
+            _, _, _, a, b, c, d, e, f = _coefficients(*(tuple(map(Fraction, p)) for p in ends))
+            s1, s2 = Fraction(n1, det), Fraction(n2, det)
+            q = a * s1 * s1 + 2 * b * s1 * s2 + c * s2 * s2 + 2 * d * s1 + 2 * e * s2 + f
+            assert exact_distance2(*ends) == q
+
+
 class TestCoordinateReference:
     def test_two_balls(self):
         a = ClosedBall((0, 0, 0), 1.0)
@@ -146,9 +199,18 @@ REMOVED_ORACLE_NAMES = (
     "reference_point_segment_distance2", "exact_segment_distance2",
 )
 
+# The old kernels' cut-offs and the float views that classified segment pairs
+# by them; exact_stationary replaced them
+REMOVED_CUTOFF_NAMES = (
+    "PARALLEL_EPS", "DEGENERACY_EPS2", "_stationary", "four_edge_fc",
+    "SegmentPairCoefficients", "StationaryPoint", "segment_pair_coefficients",
+    "segment_pair_quadratic", "stationary_point",
+)
+
 
 def test_removed_oracles_stay_removed():
-    names = [n for n in vars(oracle) if n in REMOVED_ORACLE_NAMES or n.startswith("_ref_")]
+    removed = REMOVED_ORACLE_NAMES + REMOVED_CUTOFF_NAMES
+    names = [n for n in vars(oracle) if n in removed or n.startswith("_ref_")]
     assert names == []
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
