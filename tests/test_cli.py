@@ -41,12 +41,13 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: line 2: could not convert string to float: 'zero'\n")
 
-    @pytest.mark.parametrize("subcommand", ["check", "dist"])
-    def test_huge_coordinate_exits_two(self, tmp_path, subcommand, capsys):
+    @pytest.mark.parametrize("args", [["check", "--format", "json"], ["dist", "--format", "json"],
+                                      ["check"]], ids=["check", "dist", "check-text"])
+    def test_huge_coordinate_exits_two(self, tmp_path, args, capsys):
         # two coincident balls at 1e155 once gave a NaN distance and exit 0
         huge = tmp_path / "huge.scene"
         huge.write_text("robot a\nball 1e155 0 0 1\nrobot b\nball 1e155 0 0 1\n")
-        assert main([subcommand, "--format", "json", str(huge)]) == 2
+        assert main([*args, str(huge)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: line 2: coordinates beyond")
@@ -132,6 +133,19 @@ class TestCheck:
         text = capsys.readouterr().out
         assert re.search(r"^pair i=0 j=0 .*  COLLISION$", text, re.M)
         assert "verdict: collision" in text
+
+    @pytest.mark.parametrize("z, code, pairs", [(0, 1, [(1, 1, True)]), (10, 0, [])],
+                             ids=["contact", "clear"])
+    def test_ball_row_first_hit(self, tmp_path, z, code, pairs, capsys):
+        # all balls, the only colliding pair (1, 1): robot b's centre (9, 0, 0)
+        # sorts before robot a's (10, 0, 0), so fa's swap branch decides it;
+        # then robot b moved 10 mm clear in z
+        scene = tmp_path / "ball-row.scene"
+        scene.write_text("robot a\nball 0 0 0 1\nball 10 0 0 1\n"
+                         f"robot b\nball 0 100 {z} 1\nball 9 0 {z} 1\n")
+        assert main(["check", "--format", "json", "--no-all-pairs", str(scene)]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert [(p["i"], p["j"], p["colliding"]) for p in payload["pairs"]] == pairs
 
     def test_tangency_prints_the_deciding_digits(self, tmp_path, capsys):
         # axes exactly 1 mm apart, radii 0.5: the float squared distance lands
