@@ -26,7 +26,6 @@ do not.
 from .cga import (
     BLADE_COUNT,
     DIMENSION,
-    SIGNATURE,
     Multivector,
     mbasis,
     null_inf,

@@ -5,22 +5,20 @@ indexed by bitmask over the ordered basis (e1, e2, e3, e0, einf): bit k
 holds basis vector k+1, so e1 -> mask 1, e2 -> mask 2, e3 -> mask 4,
 e0 -> mask 8, einf -> mask 16.
 
-e0 (origin) and einf (infinity) are the null vectors: both square to zero
-and contract to -1 against each other.  They relate to an auxiliary
-orthogonal pair e+, e- with squares +1 and -1 by
+e0 (origin) and einf (infinity) are the null vectors: e0^2 = einf^2 = 0 and
+e0.einf = -1, and both are orthogonal to e1, e2, e3, which square to +1.
 
-    e0 = 0.5 * (e- - e+)        einf = e- + e+
-
-Only the geometric product is tabulated.  Its blade table is written in that
-diagonal frame (signature +,+,+,+,-) and carried to (e1, e2, e3, e0, einf) by
-one change of basis, which acts only on the top two bits of a blade mask
-(e0, einf <-> e+, e-); the outer product and the left contraction are its
-grade parts, A_r ^ B_s = <A_r B_s>_(r+s) and A_r | B_s = <A_r B_s>_(s-r).
+Only the geometric product is tabulated, straight from those rules.  A blade
+mask is its Euclidean bits (mask % 8) and its null part (mask // 8: 1, e0,
+einf or e0^einf), so blade i times blade j is a reorder sign, the Euclidean
+blade (i ^ j) % 8 and one entry of the 4x4 table of null-part products; the
+outer product and the left contraction are its grade parts,
+A_r ^ B_s = <A_r B_s>_(r+s) and A_r | B_s = <A_r B_s>_(s-r).
 Working directly in the null frame keeps conformal-point coefficients at
 coordinate scale (a point stores 1 on e0 and 0.5*|p|^2 on einf), which is
 what lets the inner-product distance identity hold to ~1e-9 relative even
-for coordinates of 1e4 mm; storing points over e+/e- instead would cancel
-~1e16-scale products and lose eight digits.
+for coordinates of 1e4 mm; storing points over an orthogonal pair e+, e-
+instead would cancel ~1e16-scale products and lose eight digits.
 
 On grade-1 inputs the left contraction reduces to the metric dot product,
 which distance.py evaluates in closed form on coordinates; Multivector
@@ -44,16 +42,16 @@ DIMENSION = 5
 BLADE_COUNT = 1 << DIMENSION  # 32
 GRADE = tuple(mask.bit_count() for mask in range(BLADE_COUNT))
 
-# Diagonal metric of the auxiliary orthogonal frame (e1, e2, e3, e+, e-).
-SIGNATURE = (1.0, 1.0, 1.0, 1.0, -1.0)
-
-# Blade change of basis on the top two bits, one column per source blade: a
-# mask is 8 * (top two bits) + its Euclidean bits, which the change keeps, and
-# E^N is already in canonical order.  _TO_DIAG reads e0 = 0.5(e- - e+),
-# einf = e- + e+, e0^einf = -e+^e-; _TO_NULL reads e+ = 0.5einf - e0,
-# e- = e0 + 0.5einf, e+^e- = -e0^einf.
-_TO_DIAG = ((1, 0, 0, 0), (0, -0.5, 1, 0), (0, 0.5, 1, 0), (0, 0, 0, -1))
-_TO_NULL = ((1, 0, 0, 0), (0, -1, 1, 0), (0, 0.5, 0.5, 0), (0, 0, 0, -1))
+# Null part times null part, over (1, e0, einf, e0^einf), as {null part: weight}
+# in that order: e0 einf = -1 + e0^einf, einf e0 = -1 - e0^einf, e0 (e0^einf) = e0,
+# (e0^einf) e0 = -e0, einf (e0^einf) = -einf, (e0^einf) einf = einf and
+# (e0^einf)^2 = 1 follow from e0^2 = einf^2 = 0 and e0.einf = -1.
+_NULL_PRODUCT = (
+    ({0: 1.0}, {1: 1.0}, {2: 1.0}, {3: 1.0}),
+    ({1: 1.0}, {}, {0: -1.0, 3: 1.0}, {1: 1.0}),
+    ({2: 1.0}, {0: -1.0, 3: -1.0}, {}, {2: -1.0}),
+    ({3: 1.0}, {1: -1.0}, {2: 1.0}, {0: 1.0}),
+)
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -66,43 +64,20 @@ def _reorder_sign(a: int, b: int) -> int:
     return -1 if total & 1 else 1
 
 
-def _columns(block) -> list[list[tuple[int, float]]]:
-    """Every blade, by mask, in the other frame, as (mask, weight) pairs."""
-    return [[(8 * row + mask % 8, r[mask // 8]) for row, r in enumerate(block) if r[mask // 8]]
-            for mask in range(BLADE_COUNT)]
-
-
-def _diag_product(a: int, b: int) -> float:
-    """Weight of diagonal-frame blades e_a e_b on blade a ^ b: the reorder sign
-    times the squares of the shared vectors."""
-    weight = float(_reorder_sign(a, b))
-    for bit in range(DIMENSION):
-        if a & b & (1 << bit):
-            weight *= SIGNATURE[bit]
-    return weight
-
-
 @cache
 def tables_for() -> MappingProxyType:
-    """Product tables over the null-frame blades, built once from SIGNATURE.
+    """Product tables over the null-frame blades, built once from _NULL_PRODUCT.
 
     Maps "geometric", "outer", "inner" each to one row per left blade, a
-    tuple of (right, out, weight) terms in (right, out) order.  Built on
-    dyadic rationals, the tables are exact.
+    tuple of (right, out, weight) terms in (right, out) order.  Every weight
+    is +-1.0, so the tables are exact.
     """
-    to_diag, to_null = _columns(_TO_DIAG), _columns(_TO_NULL)
     tables = {"geometric": [], "outer": [], "inner": []}
     for i in range(BLADE_COUNT):
-        row = []
-        for j in range(BLADE_COUNT):
-            terms = {}
-            for a, wa in to_diag[i]:
-                for b, wb in to_diag[j]:
-                    weight = wa * wb * _diag_product(a, b)
-                    for k, wk in to_null[a ^ b]:
-                        terms[k] = terms.get(k, 0.0) + weight * wk
-            row += [(j, k, w) for k, w in sorted(terms.items()) if w]
-        tables["geometric"].append(tuple(row))
+        # the reorder sign also moves j's Euclidean part past i's null part
+        row = tuple((j, (i ^ j) % 8 + 8 * null, _reorder_sign(i, j % 8) * w)
+                    for j in range(BLADE_COUNT) for null, w in _NULL_PRODUCT[i // 8][j // 8].items())
+        tables["geometric"].append(row)
         tables["outer"].append(tuple(t for t in row if GRADE[t[1]] == GRADE[i] + GRADE[t[0]]))
         tables["inner"].append(tuple(t for t in row if GRADE[t[1]] == GRADE[t[0]] - GRADE[i]))
     return MappingProxyType({kind: tuple(rows) for kind, rows in tables.items()})

@@ -11,7 +11,6 @@ from cgacollide import cga
 from cgacollide.cga import (
     BLADE_COUNT,
     GRADE,
-    SIGNATURE,
     Multivector,
     mbasis,
     null_inf,
@@ -372,20 +371,12 @@ class TestTablePinning:
     their (left, right, out, weight) arrays."""
 
     @pytest.mark.parametrize(
-        "signature, digest",
-        [
-            (SIGNATURE, "93ca9c10c6a79032fa1d1ab471d70458ce2e62ef29854f4acb6f197289e06850"),
-            ((1.0,) * 5, "d2e10ee1393a8f11be57bdec40133db883feda8af8b0d6652951c058e355a298"),
-        ],
-        ids=["conformal", "all-positive"],
+        "digest",
+        ["93ca9c10c6a79032fa1d1ab471d70458ce2e62ef29854f4acb6f197289e06850"],
+        ids=["conformal"],
     )
-    def test_tables_are_pinned(self, signature, digest, monkeypatch):
-        monkeypatch.setattr(cga, "SIGNATURE", signature)
-        tables_for.cache_clear()
-        try:
-            tables = tables_for()
-        finally:
-            tables_for.cache_clear()
+    def test_tables_are_pinned(self, digest):
+        tables = tables_for()
         h = hashlib.sha256()
         sizes = []
         for kind in ("geometric", "outer", "inner"):

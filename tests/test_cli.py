@@ -188,9 +188,11 @@ class TestDist:
 
 class TestSelftest:
     @pytest.fixture
-    def all_positive_metric(self, monkeypatch):
-        """The shipped Multivector products, built on signature (+,+,+,+,+)."""
-        monkeypatch.setattr(cga, "SIGNATURE", (1.0,) * 5)
+    def flipped_null_contraction(self, monkeypatch):
+        """The shipped Multivector products, built with e0 einf = +1 + e0^einf."""
+        null = [list(row) for row in cga._NULL_PRODUCT]
+        null[1][2] = {0: 1.0, 3: 1.0}
+        monkeypatch.setattr(cga, "_NULL_PRODUCT", tuple(map(tuple, null)))
         cga.tables_for.cache_clear()
         yield
         cga.tables_for.cache_clear()
@@ -205,11 +207,11 @@ class TestSelftest:
         main(["selftest"])
         assert "distance-identity" in capsys.readouterr().out
 
-    def test_corrupted_metric_detected(self, all_positive_metric, capsys):
+    def test_corrupted_metric_detected(self, flipped_null_contraction, capsys):
         assert main(["selftest"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_corrupted_metric_check_list(self, all_positive_metric):
+    def test_corrupted_metric_check_list(self, flipped_null_contraction):
         checks = dict(selftest_checks())
         assert checks["null-contraction-is-minus-one"] is False
         assert checks["distance-identity"] is False

@@ -489,6 +489,7 @@ REMOVED_NAMES = (
     "geometric", "inner", "outer", "scalar_part", "ball_contains", "capsule_contains",
     "capsule_degenerate_as_ball", "balls_collide", "ball_capsule_collide", "capsules_collide",
     "iter_pair_checks", "PARALLEL_EPS", "DEGENERACY_EPS2", "_centers", "_parse_floats",
+    "SIGNATURE", "_TO_DIAG", "_TO_NULL", "_columns", "_diag_product",
 )
 
 

@@ -5,7 +5,9 @@ polynomial coefficients, each weight taken as sympy.Rational(w), proves an
 identity over the reals for the tables the package ships; the sampled tests
 elsewhere check the float evaluation.  Each check is that an expanded
 difference is exactly 0: a sympy Float(0.0) == 0 is False, so no float may
-enter the expressions.
+enter the expressions.  The associativity check multiplies blades only:
+their weights are +-1.0, so float sums of their products are exact and it
+needs no sympy.
 """
 
 import sympy
@@ -79,3 +81,33 @@ def test_vector_product_is_contraction_plus_outer():
     a, b = vector((a1, a2, a3), a0, ainf), vector((b1, b2, b3), b0, binf)
     parts = zip(product(a, b, "geometric"), product(a, b, "inner"), product(a, b, "outer"))
     assert is_zero([ab - inner - outer for ab, inner, outer in parts])
+
+
+def test_vector_squares_to_its_quadratic_form():
+    # the metric the tables encode: e1, e2, e3 orthonormal, e0^2 = einf^2 = 0, e0.einf = -1
+    x, y, z, a, b = sympy.symbols("x y z a b", real=True)
+    v = vector((x, y, z), a, b)
+    want = scalar(x * x + y * y + z * z - 2 * a * b)
+    assert is_zero([g - w for g, w in zip(product(v, v, "geometric"), want)])
+
+
+def test_geometric_product_is_associative_on_blades():
+    # (e_i e_j) e_k == e_i (e_j e_k) for all 32^3 blade triples
+    table = [[{} for _ in range(BLADE_COUNT)] for _ in range(BLADE_COUNT)]
+    for i, row in enumerate(tables_for()["geometric"]):
+        for j, k, w in row:
+            table[i][j][k] = w
+
+    def times(x: dict, y: dict) -> dict:
+        out = {}
+        for a, wa in x.items():
+            for b, wb in y.items():
+                for k, w in table[a][b].items():
+                    out[k] = out.get(k, 0) + wa * wb * w
+        return {k: w for k, w in out.items() if w}
+
+    blade = [{mask: 1} for mask in range(BLADE_COUNT)]
+    failed = [(i, j, k) for i in range(BLADE_COUNT) for j in range(BLADE_COUNT)
+              for k in range(BLADE_COUNT)
+              if times(table[i][j], blade[k]) != times(blade[i], table[j][k])]
+    assert failed == []
