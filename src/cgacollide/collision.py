@@ -6,9 +6,21 @@ equal to the radius sum) counts as a collision: the primitives are closed
 sets, so touching boundaries intersect.  Membership is the same rule, bit for
 bit: x lies in a component iff the zero-radius ball at x collides with it.
 
-Two robots collide iff some component pair collides; the report enumerates
-every pair in lexicographic (i, j) order as audit evidence.  _record is the
-pipeline's conformal-embedding stage: each component enters it once per check.
+components_collide(a, b) -> (colliding, squared distance, squared threshold)
+is the one entry for a single pair of any kind; anything but a ball or capsule
+is a ValueError.  Every entry runs the one dispatch path, _pair_checks, the
+only place the closed-set test sq <= (r1 + r2)^2 is written.  _record is the
+pipeline's conformal-embedding stage: each component enters it once per call.
+
+Two robots collide iff some component pair collides.  robots_collide reports
+every pair in lexicographic (i, j) order as audit evidence; its
+CollisionReport holds a tuple of PairChecks and reads its verdict from them.
+robots_collide_any returns the first colliding PairCheck in that order, or
+None, so its truthiness is the verdict.  _pair_checks yields every pair to
+the report path and only the colliding pairs to the verdict path, so the
+early exit builds nothing for a clear pair.  Both raise ValueError for an
+argument that is not a RobotModel.  robot_union_fold takes natural-number
+bounds; a negative or non-integer bound is a ValueError.
 """
 
 from __future__ import annotations
@@ -33,9 +45,11 @@ def _record(c: Component) -> tuple:
     return c.axis.start, c.axis.end, c.radius, 0.0
 
 
-def _pair_checks(comps1, comps2) -> Iterator[tuple]:
+def _pair_checks(comps1, comps2, every: bool = True) -> Iterator[tuple]:
     """The one dispatch path: (i, j, squared distance, squared threshold,
     colliding) in lexicographic (i, j) order; the consumer decides when to stop.
+    It yields a pair only if `every` is true or the pair collides: the report path
+    sees every pair, the verdict path (every=False) only the hits.
     A ball pair is fa on the records, summed and swapped as fa does, bit for bit."""
     flat2 = list(map(_record, comps2))
     for i, (p1, e1, r1, h1) in enumerate(map(_record, comps1)):
@@ -50,13 +64,15 @@ def _pair_checks(comps1, comps2) -> Iterator[tuple]:
                     sq = fb(p1, p2, e2)[0]
                 rsum = r1 + r2
                 threshold = rsum * rsum
-                yield i, j, sq, threshold, sq <= threshold
+                if every or sq <= threshold:
+                    yield i, j, sq, threshold, sq <= threshold
         else:
             for j, (p2, e2, r2, _) in enumerate(flat2):
                 sq = fb(p2, p1, e1)[0] if e2 is None else fc(p1, e1, p2, e2)[0]
                 rsum = r1 + r2
                 threshold = rsum * rsum
-                yield i, j, sq, threshold, sq <= threshold
+                if every or sq <= threshold:
+                    yield i, j, sq, threshold, sq <= threshold
 
 
 def components_collide(a: Component, b: Component) -> tuple[bool, float, float]:
@@ -131,11 +147,11 @@ class CollisionReport:
         return any(p.colliding for p in self.pairs)
 
 
-def _robot_checks(r1: RobotModel, r2: RobotModel) -> Iterator[tuple]:
+def _robot_checks(r1: RobotModel, r2: RobotModel, every: bool = True) -> Iterator[tuple]:
     """_pair_checks of two robots' components; anything but a RobotModel is a ValueError."""
     if not (isinstance(r1, RobotModel) and isinstance(r2, RobotModel)):
         raise ValueError(f"expected RobotModels, got {type(r1).__name__} and {type(r2).__name__}")
-    return _pair_checks(r1.components, r2.components)
+    return _pair_checks(r1.components, r2.components, every)
 
 
 def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
@@ -146,4 +162,4 @@ def robots_collide(r1: RobotModel, r2: RobotModel) -> CollisionReport:
 def robots_collide_any(r1: RobotModel, r2: RobotModel) -> PairCheck | None:
     """The first colliding pair in (i, j) order, or None; stops there, so its
     truthiness is the verdict."""
-    return next(starmap(PairCheck, filter(operator.itemgetter(4), _robot_checks(r1, r2))), None)
+    return next(starmap(PairCheck, _robot_checks(r1, r2, False)), None)

@@ -7,12 +7,20 @@ Format, one record per line; '#' starts a comment, blank lines are ignored:
     ball <cx> <cy> <cz> <r>
 
 Component lines attach to the most recent robot, indexed from 0.  All
-numbers are decimal millimeters.  parse_scene reads in two passes: every
-line (syntax, numbers, primitives, duplicate names), then every robot
-(RobotModel's rules, at the robot's line).  So line errors come first, in
-line order, and model errors follow, in robot order.  Serialization writes
-the shortest decimal that round-trips, so parse(serialize(scene))
-reproduces every number bit-exactly.
+numbers are decimal millimeters, read by float(), with two rules on top:
+a component line is ASCII and holds no '_' before its '#' (so 1_000,
+Arabic-Indic or full-width digits and U+2028 are errors at that line), and a
+number written non-zero that reads as 0.0 (1e-400) is an error at that line;
+0, -0, 0e5 and 0.0e-999 are zero.  A token of at most 15 significant digits
+in the normal range, or in shortest round-trip form, serializes back as the
+same decimal; any other token is read as the nearest double, which
+serializes as its shortest decimal.
+
+parse_scene reads in two passes: every line (syntax, numbers, primitives,
+duplicate names), then every robot (RobotModel's rules, at the robot's
+line).  So line errors come first, in line order, and model errors follow,
+in robot order.  Serialization writes the shortest decimal that round-trips,
+so parse(serialize(scene)) reproduces every number bit-exactly.
 """
 
 from __future__ import annotations
@@ -58,8 +66,11 @@ def parse_scene(text: str) -> Scene:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     components = None  # the latest robot's list
+    # Component lines are ASCII without '_'; test each line only if the text is not.
+    per_line = not text.isascii() or "_" in text
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        fields = raw.split("#", 1)[0].split()
+        body = raw.split("#", 1)[0]
+        fields = body.split()
         if not fields:
             continue
         kind, *args = fields
@@ -75,8 +86,15 @@ def parse_scene(text: str) -> Scene:
                 raise SceneError("component before any robot line", lineno)
             if len(args) != _ARITY[kind]:
                 raise SceneError(f"{kind} takes {_ARITY[kind]} numbers, got {len(args)}", lineno)
+            if per_line and (not body.isascii() or "_" in body):
+                raise SceneError(f"a component line is ASCII without '_', got {body.strip()!r}", lineno)
             try:  # a bad number, then the primitive's rules, fail at this line
-                v = [float(tok) for tok in args]
+                v = list(map(float, args))
+                # A token written non-zero must not read as 0.0; "0.0" tokens need no test.
+                if not all(v) and v.count(0.0) != args.count("0.0"):
+                    for tok, x in zip(args, v):
+                        if x == 0.0 and tok.lower().partition("e")[0].strip("+-.0"):
+                            raise ValueError(f"{tok!r} is not zero but reads as 0.0")
                 components.append(ClosedBall(v[:3], v[3]) if kind == "ball"
                                   else Capsule(Segment(v[:3], v[3:6]), v[6]))
             except ValueError as exc:

@@ -8,6 +8,7 @@ from cgacollide.collision import (
     CollisionReport,
     PairCheck,
     RobotModel,
+    _pair_checks,
     components_collide,
     contains,
     robot_union_fold,
@@ -17,7 +18,7 @@ from cgacollide.collision import (
 from cgacollide.distance import fa, fb, fc
 from oracle import components_equal, exact_component_distance2, robots_equal
 from cgacollide.primitives import Capsule, ClosedBall, Segment
-from cgacollide.scene import load_table3
+from cgacollide.scene import bundled_scene_path, load_scene, load_table3
 
 
 def random_component(rng, scale=100.0, rmax=20.0):
@@ -408,6 +409,8 @@ class TestRobotsCollide:
         r1, r2 = load_table3().robots
         with pytest.raises(TypeError):
             check(r1, r2, skip_adjacent=True)
+        with pytest.raises(TypeError):  # the dispatch's yield flag stays private
+            check(r1, r2, every=False)
 
 
 def kernel_squared_distance(a, b) -> float:
@@ -434,6 +437,13 @@ def ball_arm(rng, base) -> RobotModel:
     return RobotModel("arm", (*balls, ClosedBall(p, 16.0)))
 
 
+def hits(c1, c2) -> list:
+    """The verdict path's yield, held to the report path's colliding pairs in order."""
+    found = list(_pair_checks(c1, c2, False))
+    assert found == [t for t in _pair_checks(c1, c2) if t[4]]
+    return found
+
+
 class TestDispatchIsTheKernels:
     """The pair loop's squared distances are the kernels' own, bit for bit."""
 
@@ -458,6 +468,7 @@ class TestDispatchIsTheKernels:
                 r1 = self.mixed_robot(rng, pool, "r1")
                 r2 = self.mixed_robot(rng, pool, "r2")
                 for x, y in ((r1, r2), (r2, r1)):
+                    hits(x.components, y.components)
                     for p in robots_collide(x, y).pairs:
                         a, b = x.components[p.i], y.components[p.j]
                         assert repr(p.squared_distance) == repr(kernel_squared_distance(a, b))
@@ -472,10 +483,28 @@ class TestDispatchIsTheKernels:
         for _ in range(60):
             r1, r2 = ball_arm(rng, (0.0, 0.0, 0.0)), ball_arm(rng, (0.0, 80.0, 0.0))
             for x, y in ((r1, r2), (r2, r1)):
+                hits(x.components, y.components)
                 hit = robots_collide_any(x, y)
                 assert hit == next((p for p in robots_collide(x, y).pairs if p.colliding), None)
                 verdicts.append(hit is not None)
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+class TestVerdictPathYieldsOnlyHits:
+    """_pair_checks(..., every=False) is the report path with the clear pairs left out;
+    the mixed robots and ball arms above check it too."""
+
+    @pytest.mark.parametrize("name, colliding", [("table3.scene", 11), ("separated.scene", 0)])
+    def test_bundled_scenes_in_both_orders(self, name, colliding):
+        # separated.scene is a clear pose: it yields nothing
+        r1, r2 = load_scene(bundled_scene_path(name)).robots
+        assert len(hits(r1.components, r2.components)) == colliding
+        assert len(hits(r2.components, r1.components)) == colliding
+
+    def test_engineered_tangency_still_collides(self):
+        a, b = ClosedBall((0, 0, 0), 0.7), ClosedBall((1, 0, 0), 0.3)
+        assert hits((a,), (b,)) == [(0, 0, 1.0, 1.0, True)]
+        assert hits((b,), (a,)) == [(0, 0, 1.0, 1.0, True)]
 
 
 # Test-only helpers, unused carriers and second spellings of one operation that

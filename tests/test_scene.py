@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 
@@ -181,6 +182,57 @@ class TestLineEnds:
         path = tmp_path / "bom.scene"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         assert scenes_equal(load_scene(path), parse_scene(text))
+
+
+class TestNumberGrammar:
+    """A component line is ASCII without '_', and no number written non-zero reads as 0.0."""
+
+    @pytest.mark.parametrize("tok", ["1_000", "\u0661\u0662\u0663", "\uff11\uff12"], ids=repr)
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_non_ascii_or_underscore_token_rejected_at_its_line(self, tok, at):
+        args = ["0", "0", "0", "1"]
+        args[at] = tok
+        with pytest.raises(SceneError, match="ASCII without '_'") as exc:
+            parse_scene(f"robot a\nball 0 0 0 1\nball {' '.join(args)}\n")
+        assert exc.value.line == 3
+
+    def test_non_ascii_whitespace_in_a_component_line_rejected(self):
+        with pytest.raises(SceneError, match="ASCII") as exc:
+            parse_scene("robot a\nball 0\u20280 0 1\n")
+        assert exc.value.line == 2
+
+    def test_ascii_whitespace_comments_and_names_stay_free(self):
+        scene = parse_scene("robot \u00e9\nball 0\f0\v0 1 # \u00e9_1\n")
+        assert scene.robots[0].name == "\u00e9"
+        assert scene.robots[0].components[0] == ClosedBall((0, 0, 0), 1)
+
+    @pytest.mark.parametrize("tok", ["1e-400", "-1e-400", "1E-400", "0.0001e-400", "100e-400"])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_non_zero_token_that_flushes_to_zero_rejected_at_its_line(self, tok, at):
+        args = ["0", "0", "0", "1"]
+        args[at] = tok
+        with pytest.raises(SceneError, match=f"{tok!r} is not zero but reads as 0.0") as exc:
+            parse_scene(f"robot a\nball 1 2 3 4\n\nball {' '.join(args)}\n")
+        assert exc.value.line == 4
+
+    def test_subnormal_token_keeps_its_value(self):
+        ball = parse_scene("robot a\nball 1e-320 0 0 1\n").robots[0].components[0]
+        assert ball.center[0] == 1e-320 > 0.0
+
+    @pytest.mark.parametrize("tok, sign", [("0", 1.0), ("-0", -1.0), ("0.0", 1.0), ("0e5", 1.0),
+                                           ("0.0e-999", 1.0), ("-.0E+3", -1.0), ("+00.000", 1.0)])
+    def test_zero_tokens_read_as_zero(self, tok, sign):
+        capsule = parse_scene(f"robot a\ncapsule {tok} 0 0 0 0 1 {tok}\n").robots[0].components[0]
+        x, radius = capsule.axis.start[0], capsule.radius
+        assert x == radius == 0.0
+        assert math.copysign(1.0, x) == math.copysign(1.0, radius) == sign
+
+    @pytest.mark.parametrize("name", ["table3.scene", "separated.scene"])
+    def test_bundled_scenes_round_trip_unchanged(self, name):
+        scene = load_scene(bundled_scene_path(name))
+        text = serialize_scene(scene)
+        again = parse_scene(text)
+        assert scenes_equal(scene, again) and serialize_scene(again) == text
 
 
 class TestRoundTrip:
